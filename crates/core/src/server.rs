@@ -1022,10 +1022,13 @@ impl EcoDb {
     /// from the generated source rows, replay the committed
     /// transactions in log order, and re-create every secondary index
     /// over the recovered tables (`CREATE INDEX` is not logged — the
-    /// index is derivable state). Afterwards the log restarts empty
-    /// (recovery is a checkpoint), the transaction counter resumes past
-    /// the highest committed id, and the spent crash point is cleared;
-    /// the read-fault schedule stays installed.
+    /// index is derivable state). Afterwards the log restarts from its
+    /// committed prefix, which counts as already durable: a later
+    /// crash recovers every transaction acknowledged before this one
+    /// too, and the next fsync still charges only new bytes. The
+    /// transaction counter resumes past the highest committed id, and
+    /// the spent crash point is cleared; the read-fault schedule stays
+    /// installed.
     pub fn recover(&mut self) -> Result<RecoveryReport, ServerError> {
         let image = self.wal.lock().log.image();
         let rec = WriteAheadLog::recover(&image)?;
@@ -1043,7 +1046,7 @@ impl EcoDb {
         }
         self.catalog = catalog;
         let mut wal = self.wal.lock();
-        wal.log = WriteAheadLog::new();
+        wal.log = WriteAheadLog::restarted(&image[..rec.committed_len]);
         wal.next_txn = rec.txns.last().copied().unwrap_or(0) + 1;
         Ok(RecoveryReport {
             records_replayed: rec.records.len(),

@@ -11,16 +11,21 @@
 //! `Catalog::apply_wal_record`. Keeping record *generation* separate
 //! from record *application* is what makes crash recovery replay
 //! byte-identical to live execution — both sides apply the exact same
-//! records.
+//! records. A row too wide to store (see `Catalog::check_width`) is
+//! rejected here with [`SqlError::TooWide`], before anything reaches
+//! the log.
 //!
 //! Pricing of the generation pass itself: the row scan a filtered
 //! `UPDATE`/`DELETE` performs is charged as **memory streaming** over
 //! the table's stored bytes (the mutation reads the resident working
-//! copy — the rebuild source — not the paged images; durability I/O is
-//! priced separately by the log classes), and every predicate / SET
-//! expression evaluation charges its usual op classes through
-//! [`Expr::eval`]. An `INSERT` streams each new tuple's width. All of
-//! it lands in the caller's [`ExecCtx`] like any read query's work.
+//! copy, not the paged images; durability I/O is priced separately by
+//! the log classes), and every predicate / SET expression evaluation
+//! charges its usual op classes through [`Expr::eval`]. An `INSERT`
+//! streams each new tuple's width. All of it lands in the caller's
+//! [`ExecCtx`] like any read query's work. On a disk table the scan
+//! decodes only the columns the `WHERE` clause reads and decodes whole
+//! rows only for the matches; a column reference charges nothing, so
+//! the charges are those of a scan over whole rows.
 //!
 //! Deletes are emitted in **descending row order** so each removal
 //! leaves the remaining logged row ids stable under in-order replay
@@ -29,7 +34,7 @@
 use eco_storage::wal::WalRecord;
 use eco_storage::{Catalog, ColumnType, StoredTable, TableData, Tuple, Value};
 
-use super::ast::{DeleteStmt, InsertStmt, Statement, UpdateStmt};
+use super::ast::{DeleteStmt, InsertStmt, SqlExpr, Statement, UpdateStmt};
 use super::plan::bind_expr;
 use super::SqlError;
 use crate::context::ExecCtx;
@@ -70,19 +75,73 @@ fn lookup(catalog: &Catalog, table: &str) -> Result<std::sync::Arc<StoredTable>,
         .ok_or_else(|| SqlError::Bind(format!("unknown table {table:?}")))
 }
 
-/// The mutation pass's row source: the table's resident tuples, with
-/// the scan charged as memory streaming over the stored bytes.
-fn scan_rows(stored: &StoredTable, ctx: &mut ExecCtx) -> Vec<Tuple> {
+/// The row ids a filtered `UPDATE`/`DELETE` matches, in row order,
+/// with the scan charged as memory streaming over the stored bytes. A
+/// disk table decodes only the columns `where_clause` references, and
+/// the predicate is bound against that projection.
+fn matching_rows(
+    stored: &StoredTable,
+    where_clause: Option<&SqlExpr>,
+    ctx: &mut ExecCtx,
+) -> Result<Vec<usize>, SqlError> {
+    let schema = stored.schema();
+    let Some(w) = where_clause else {
+        charge_scan(stored, ctx);
+        return Ok((0..stored.len()).collect());
+    };
+    // Binding against the whole schema reports an unknown column the
+    // same way for both engines.
+    let pred = bind_expr(w, schema)?;
+    charge_scan(stored, ctx);
+    let mut matched = Vec::new();
     match &stored.data {
         TableData::Memory(h) => {
-            ctx.charge_mem_bytes(h.bytes());
-            h.tuples().to_vec()
+            for (i, row) in h.tuples().iter().enumerate() {
+                if pred.eval_bool(row, ctx) {
+                    matched.push(i);
+                }
+            }
         }
         TableData::Disk(d) => {
-            ctx.charge_mem_bytes(d.avg_tuple_bytes() * d.len() as u64);
-            d.all_tuples()
+            let mut names = Vec::new();
+            w.columns(&mut names);
+            let mut cols: Vec<usize> = names.iter().filter_map(|n| schema.index_of(n)).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            let projected = bind_expr(w, &schema.project(&cols))?;
+            d.scan_projected(&cols, |i, row| {
+                if projected.eval_bool(row, ctx) {
+                    matched.push(i);
+                }
+            });
         }
     }
+    Ok(matched)
+}
+
+fn charge_scan(stored: &StoredTable, ctx: &mut ExecCtx) {
+    ctx.charge_mem_bytes(match &stored.data {
+        TableData::Memory(h) => h.bytes(),
+        TableData::Disk(d) => d.avg_tuple_bytes() * d.len() as u64,
+    });
+}
+
+/// Row `row` of `stored`, whole.
+fn full_row(stored: &StoredTable, row: usize) -> Tuple {
+    match &stored.data {
+        TableData::Memory(h) => h.tuples()[row].clone(),
+        TableData::Disk(d) => d.tuple(row),
+    }
+}
+
+/// Reject a row the table could not store, before it is logged.
+fn check_width(catalog: &Catalog, table: &str, tuple: &Tuple) -> Result<(), SqlError> {
+    catalog
+        .check_width(table, tuple)
+        .map_err(|e| SqlError::TooWide {
+            table: table.to_string(),
+            bytes: e.bytes,
+        })
 }
 
 /// Fit an evaluated value to its destination column type. Exact
@@ -171,6 +230,7 @@ fn insert(catalog: &Catalog, stmt: &InsertStmt, ctx: &mut ExecCtx) -> Result<Dml
             tuple[dest] = Some(coerce_or_bind(v, col.ty, &col.name)?);
         }
         let tuple: Tuple = tuple.into_iter().flatten().collect();
+        check_width(catalog, &stmt.table, &tuple)?;
         ctx.charge_mem_bytes(eco_storage::tuple_width(&tuple));
         records.push(WalRecord::Insert {
             table: stmt.table.clone(),
@@ -194,24 +254,15 @@ fn update(catalog: &Catalog, stmt: &UpdateStmt, ctx: &mut ExecCtx) -> Result<Dml
             Ok((idx, bind_expr(expr, schema)?))
         })
         .collect::<Result<Vec<_>, SqlError>>()?;
-    let pred = stmt
-        .where_clause
-        .as_ref()
-        .map(|w| bind_expr(w, schema))
-        .transpose()?;
-    let rows = scan_rows(&stored, ctx);
     let mut records = Vec::new();
-    for (row_id, row) in rows.iter().enumerate() {
-        if let Some(p) = &pred {
-            if !p.eval_bool(row, ctx) {
-                continue;
-            }
-        }
+    for row_id in matching_rows(&stored, stmt.where_clause.as_ref(), ctx)? {
+        let row = full_row(&stored, row_id);
         let mut new = row.clone();
         for (idx, expr) in &sets {
             let col = &schema.columns()[*idx];
-            new[*idx] = coerce_or_bind(expr.eval(row, ctx), col.ty, &col.name)?;
+            new[*idx] = coerce_or_bind(expr.eval(&row, ctx), col.ty, &col.name)?;
         }
+        check_width(catalog, &stmt.table, &new)?;
         records.push(WalRecord::Update {
             table: stmt.table.clone(),
             row: row_id,
@@ -224,22 +275,7 @@ fn update(catalog: &Catalog, stmt: &UpdateStmt, ctx: &mut ExecCtx) -> Result<Dml
 
 fn delete(catalog: &Catalog, stmt: &DeleteStmt, ctx: &mut ExecCtx) -> Result<DmlOutcome, SqlError> {
     let stored = lookup(catalog, &stmt.table)?;
-    let pred = stmt
-        .where_clause
-        .as_ref()
-        .map(|w| bind_expr(w, stored.schema()))
-        .transpose()?;
-    let rows = scan_rows(&stored, ctx);
-    let mut matched = Vec::new();
-    for (row_id, row) in rows.iter().enumerate() {
-        let keep = match &pred {
-            Some(p) => p.eval_bool(row, ctx),
-            None => true,
-        };
-        if keep {
-            matched.push(row_id);
-        }
-    }
+    let matched = matching_rows(&stored, stmt.where_clause.as_ref(), ctx)?;
     // Descending order: each removal leaves earlier row ids stable.
     let records: Vec<WalRecord> = matched
         .iter()

@@ -98,6 +98,14 @@ pub enum SqlError {
     Parse(ParseError),
     /// Binder/planner error (unknown table/column, unsupported shape).
     Bind(String),
+    /// A DML row too wide for its table to store (see
+    /// `Catalog::check_width`). Rejected before anything is logged.
+    TooWide {
+        /// Target table.
+        table: String,
+        /// Width in bytes of the row, index entry or string that does not fit.
+        bytes: usize,
+    },
 }
 
 impl std::fmt::Display for SqlError {
@@ -106,6 +114,10 @@ impl std::fmt::Display for SqlError {
             SqlError::Lex(e) => write!(f, "lexical error: {e}"),
             SqlError::Parse(e) => write!(f, "parse error: {e}"),
             SqlError::Bind(m) => write!(f, "binding error: {m}"),
+            SqlError::TooWide { table, bytes } => write!(
+                f,
+                "row needs {bytes} bytes, more than table {table:?} can store"
+            ),
         }
     }
 }

@@ -48,7 +48,7 @@ use eco_simhw::trace::DiskWork;
 
 use crate::bufferpool::{BufferPool, PageId};
 use crate::disk_table::IoError;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{serialize_into, Page, PAGE_SIZE};
 use crate::value::{ColumnType, Tuple, Value};
 
 /// Maximum entries per node (leaf or interior). Real fanout is the
@@ -56,6 +56,11 @@ use crate::value::{ColumnType, Tuple, Value};
 /// shape (and therefore probe I/O counts) independent of key width
 /// jitter for the common integer/date keys.
 pub const BTREE_FANOUT: usize = 256;
+
+/// The widest serialized entry ([`BTreeIndex::entry_len`]) a node
+/// holds: two must fit a page, or an interior level would never shrink
+/// to a root.
+pub const MAX_ENTRY_BYTES: usize = crate::page::max_tuple_bytes(2);
 
 /// First index id. Index page ids share the buffer pool's `(table,
 /// page)` namespace with tables, so index ids live in their own upper
@@ -117,7 +122,9 @@ pub struct BTreeIndex {
 
 impl BTreeIndex {
     /// Bulk-load from `(key, row_id)` entries (any order; duplicates
-    /// allowed). Panics if a key's type differs from `key_type`.
+    /// allowed). Panics if a key's type differs from `key_type` or an
+    /// entry is wider than [`MAX_ENTRY_BYTES`] (the catalog rejects
+    /// such keys first).
     /// Building charges no I/O — see the module docs.
     pub fn build(
         index_id: u32,
@@ -130,55 +137,25 @@ impl BTreeIndex {
                 k.column_type() == key_type,
                 "index key {k:?} does not have type {key_type:?}"
             );
+            assert!(
+                Self::entry_len(k) <= MAX_ENTRY_BYTES,
+                "index entry wider than {MAX_ENTRY_BYTES} bytes"
+            );
         }
         entries.sort_by(|a, b| cmp_keys(&a.0, &b.0).then(a.1.cmp(&b.1)));
         let len = entries.len();
 
         // Leaf level: [key, row_id] entries packed at fixed fanout.
         let mut pages: Vec<Page> = Vec::new();
-        let mut seps: Vec<(Value, usize)> = Vec::new(); // (first key, page no)
-        {
-            let mut cur = Page::new();
-            let mut cur_n = 0usize;
-            for (key, row) in &entries {
-                let t: Tuple = vec![key.clone(), Value::Int(*row as i64)];
-                if cur_n == BTREE_FANOUT || !cur.insert(&t) {
-                    pages.push(std::mem::take(&mut cur));
-                    cur_n = 0;
-                    assert!(cur.insert(&t), "index entry wider than an empty page");
-                }
-                if cur_n == 0 {
-                    seps.push((key.clone(), pages.len()));
-                }
-                cur_n += 1;
-            }
-            if cur_n > 0 {
-                pages.push(cur);
-            }
-        }
+        let mut seps = pack_level(entries.iter().map(|(k, row)| (k, *row)), &mut pages);
         let leaf_count = pages.len();
         let mut height = usize::from(leaf_count > 0);
 
-        // Interior levels, bottom-up, until one root remains.
+        // Interior levels, bottom-up, until one root remains:
+        // [separator_key, child_page] entries.
         while seps.len() > 1 {
             let level = std::mem::take(&mut seps);
-            let mut cur = Page::new();
-            let mut cur_n = 0usize;
-            for (key, child) in &level {
-                let t: Tuple = vec![key.clone(), Value::Int(*child as i64)];
-                if cur_n == BTREE_FANOUT || !cur.insert(&t) {
-                    pages.push(std::mem::take(&mut cur));
-                    cur_n = 0;
-                    assert!(cur.insert(&t), "separator wider than an empty page");
-                }
-                if cur_n == 0 {
-                    seps.push((key.clone(), pages.len()));
-                }
-                cur_n += 1;
-            }
-            if cur_n > 0 {
-                pages.push(cur);
-            }
+            seps = pack_level(level.iter().map(|(k, child)| (k, *child)), &mut pages);
             height += 1;
         }
 
@@ -193,6 +170,18 @@ impl BTreeIndex {
             len,
             pool,
         }
+    }
+
+    /// Serialized width of the leaf entry or separator holding `key`;
+    /// at most [`MAX_ENTRY_BYTES`].
+    pub fn entry_len(key: &Value) -> usize {
+        // u16 arity + the key + the row id or child page number.
+        2 + crate::page::value_len(key) + crate::page::value_len(&Value::Int(0))
+    }
+
+    /// The image of node page `page_no` (leaves first, root last).
+    pub fn page(&self, page_no: usize) -> &Page {
+        &self.pages[page_no]
     }
 
     /// This index's id (the `table` half of its buffer-pool page ids).
@@ -415,6 +404,34 @@ impl std::fmt::Debug for BTreeIndex {
             .field("height", &self.height)
             .finish()
     }
+}
+
+/// Pack one level's `[key, n]` entries onto new pages appended to
+/// `pages`, at most [`BTREE_FANOUT`] per page, and return the level's
+/// separators: each new page's first key and page number.
+fn pack_level<'a>(
+    entries: impl Iterator<Item = (&'a Value, usize)>,
+    pages: &mut Vec<Page>,
+) -> Vec<(Value, usize)> {
+    let mut seps = Vec::new();
+    let mut cur = Page::new();
+    let mut entry = Vec::new();
+    for (key, n) in entries {
+        entry.clear();
+        serialize_into([key, &Value::Int(n as i64)].into_iter(), &mut entry);
+        if cur.len() == BTREE_FANOUT || !cur.push_payload(&entry) {
+            pages.push(std::mem::take(&mut cur));
+            let fits = cur.push_payload(&entry);
+            assert!(fits, "index entry wider than an empty page");
+        }
+        if cur.len() == 1 {
+            seps.push((key.clone(), pages.len()));
+        }
+    }
+    if !cur.is_empty() {
+        pages.push(cur);
+    }
+    seps
 }
 
 /// Total order for same-typed keys (build-time assertions and probe

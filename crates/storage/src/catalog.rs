@@ -6,11 +6,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::btree::{BTreeIndex, FIRST_INDEX_ID};
+use crate::btree::{BTreeIndex, FIRST_INDEX_ID, MAX_ENTRY_BYTES};
 use crate::bufferpool::BufferPool;
-use crate::disk_table::DiskTable;
+use crate::disk_table::{DiskTable, Mutation, TupleTooWide};
 use crate::heap::HeapTable;
-use crate::value::{Schema, Tuple};
+use crate::page::{serialized_len, MAX_TUPLE_BYTES};
+use crate::value::{Schema, Tuple, Value};
 use crate::wal::{WalError, WalRecord};
 
 /// Physical storage of one table.
@@ -79,6 +80,14 @@ pub enum IndexError {
     /// Secondary indexes are paged structures over the disk engine;
     /// the memory engine (the paper's CPU-stress profile) has none.
     NotDiskTable(String),
+    /// A key of the column is too wide for an index node
+    /// ([`MAX_ENTRY_BYTES`]).
+    KeyTooWide {
+        /// Indexed column.
+        column: String,
+        /// Serialized width of the widest entry.
+        bytes: usize,
+    },
 }
 
 impl std::fmt::Display for IndexError {
@@ -95,6 +104,11 @@ impl std::fmt::Display for IndexError {
                     "table {t:?} is not a disk table; only disk tables can be indexed"
                 )
             }
+            IndexError::KeyTooWide { column, bytes } => write!(
+                f,
+                "column {column:?} has a {bytes}-byte index entry; a node holds at most \
+                 {MAX_ENTRY_BYTES}"
+            ),
         }
     }
 }
@@ -119,8 +133,8 @@ pub struct IndexEntry {
 pub struct Catalog {
     /// Interior-mutable since the write path landed: a WAL replay
     /// applies mutations through `&self` (the executor holds the
-    /// catalog shared), swapping each mutated table's `Arc` for a
-    /// rebuilt copy — copy-on-write at table granularity.
+    /// catalog shared), swapping each mutated table's `Arc` for a new
+    /// version that shares every page the mutation left unchanged.
     tables: Mutex<BTreeMap<String, Arc<StoredTable>>>,
     pool: Arc<BufferPool>,
     next_table_id: u32,
@@ -220,15 +234,16 @@ impl Catalog {
         let stored = self.get(table).ok_or_else(|| WalError::NoSuchTable {
             table: table.to_string(),
         })?;
-        match &m {
-            Mutation::Insert(t) | Mutation::Update(_, t) => {
-                if !stored.schema().check(t) {
-                    return Err(WalError::SchemaMismatch {
-                        table: table.to_string(),
-                    });
-                }
+        if let Mutation::Insert(t) | Mutation::Update(_, t) = m {
+            if !stored.schema().check(t) {
+                return Err(WalError::SchemaMismatch {
+                    table: table.to_string(),
+                });
             }
-            Mutation::Delete(_) => {}
+            self.check_width(table, t).map_err(|e| WalError::TupleTooWide {
+                table: table.to_string(),
+                bytes: e.bytes,
+            })?;
         }
         if let Mutation::Update(row, _) | Mutation::Delete(row) = m {
             if row >= stored.len() {
@@ -252,23 +267,15 @@ impl Catalog {
                 TableData::Memory(h)
             }
             TableData::Disk(disk) => {
-                let mut tuples = disk.all_tuples();
-                match m {
-                    Mutation::Insert(t) => tuples.push(t.clone()),
-                    Mutation::Update(row, t) => tuples[row] = t.clone(),
-                    Mutation::Delete(row) => {
-                        tuples.remove(row);
-                    }
-                }
-                // The rebuilt table reuses its id, so stale cached
-                // pages must go first.
+                let next = disk.apply(m).map_err(|e| WalError::TupleTooWide {
+                    table: table.to_string(),
+                    bytes: e.bytes,
+                })?;
+                // The new version reuses the table id, so every cached
+                // page goes, changed or not: the next read is priced
+                // cold.
                 self.pool.evict_table(disk.table_id());
-                TableData::Disk(DiskTable::load(
-                    disk.table_id(),
-                    disk.schema().clone(),
-                    &tuples,
-                    Arc::clone(&self.pool),
-                ))
+                TableData::Disk(next)
             }
         };
         self.tables.lock().insert(
@@ -278,16 +285,60 @@ impl Catalog {
                 data,
             }),
         );
-        self.rebuild_indexes_on(table);
+        self.rebuild_indexes_on(&stored, m);
         Ok(())
     }
 
-    /// Rebuild every secondary index over `table` from its mutated
-    /// pages, reusing each index's id (after evicting its stale node
-    /// pages). Bulk rebuilds are I/O-free like initial builds; the
-    /// energy cost of the mutation itself is charged by the write path.
-    fn rebuild_indexes_on(&self, table: &str) {
+    /// Whether `tuple` is narrow enough for `table`: a disk-table row
+    /// must fit an empty page and each index entry built from it a
+    /// node ([`crate::btree::MAX_ENTRY_BYTES`]); in any table a string
+    /// must fit the 16-bit length prefix pages and log records share.
+    /// The SQL write path checks this before logging, so a statement
+    /// that could not be applied is rejected instead of poisoning the
+    /// durable log; apply checks it again for hand-made records. A
+    /// missing table passes.
+    pub fn check_width(&self, table: &str, tuple: &Tuple) -> Result<(), TupleTooWide> {
         let Some(stored) = self.get(table) else {
+            return Ok(());
+        };
+        let bytes = serialized_len(tuple);
+        let (bytes, max) = match &stored.data {
+            TableData::Memory(_) => {
+                let longest = tuple.iter().filter_map(Value::as_str).map(str::len).max();
+                (longest.unwrap_or(0), usize::from(u16::MAX))
+            }
+            TableData::Disk(_) if bytes > MAX_TUPLE_BYTES => (bytes, MAX_TUPLE_BYTES),
+            TableData::Disk(_) => {
+                let widest = self
+                    .indexes
+                    .lock()
+                    .values()
+                    .filter(|e| e.table == table)
+                    .filter_map(|e| stored.schema().index_of(&e.column))
+                    .map(|col| BTreeIndex::entry_len(&tuple[col]))
+                    .max();
+                (widest.unwrap_or(0), MAX_ENTRY_BYTES)
+            }
+        };
+        if bytes > max {
+            return Err(TupleTooWide { bytes, max });
+        }
+        Ok(())
+    }
+
+    /// Bring every secondary index over the mutated table up to date,
+    /// reusing each index's id. Every index's cached node pages are
+    /// evicted, as a rebuild always did; an index is rebuilt — from its
+    /// key column alone, decoded straight off the new pages (I/O-free
+    /// like an initial build) — unless the mutation is an update that
+    /// leaves its key, and so every `(key, row id)` entry, unchanged.
+    /// The energy cost of the mutation itself is charged by the write
+    /// path.
+    fn rebuild_indexes_on(&self, old: &StoredTable, m: Mutation<'_>) {
+        let TableData::Disk(old_disk) = &old.data else {
+            return;
+        };
+        let Some(stored) = self.get(&old.name) else {
             return;
         };
         let TableData::Disk(disk) = &stored.data else {
@@ -296,7 +347,7 @@ impl Catalog {
         let mut indexes = self.indexes.lock();
         let names: Vec<String> = indexes
             .values()
-            .filter(|e| e.table == table)
+            .filter(|e| e.table == old.name)
             .map(|e| e.name.clone())
             .collect();
         for name in names {
@@ -306,9 +357,14 @@ impl Catalog {
             let Some(col) = disk.schema().index_of(&entry.column) else {
                 continue;
             };
-            let key_type = disk.schema().columns()[col].ty;
             let id = entry.index.index_id();
             self.pool.evict_table(id);
+            if let Mutation::Update(row, t) = m {
+                if old_disk.tuple(row)[col] == t[col] {
+                    continue;
+                }
+            }
+            let key_type = disk.schema().columns()[col].ty;
             let rebuilt = Arc::new(BTreeIndex::build(
                 id,
                 key_type,
@@ -355,13 +411,20 @@ impl Catalog {
         if indexes.contains_key(name) {
             return Err(IndexError::DuplicateIndex(name.to_string()));
         }
+        let entries = disk.column_with_row_ids(col);
+        let widest = entries.iter().map(|(k, _)| BTreeIndex::entry_len(k)).max();
+        if let Some(bytes) = widest.filter(|&b| b > MAX_ENTRY_BYTES) {
+            return Err(IndexError::KeyTooWide {
+                column: column.to_string(),
+                bytes,
+            });
+        }
         let id = {
             let mut next = self.next_index_id.lock();
             let id = *next;
             *next += 1;
             id
         };
-        let entries = disk.column_with_row_ids(col);
         let index = Arc::new(BTreeIndex::build(
             id,
             key_type,
@@ -404,13 +467,6 @@ impl Catalog {
     pub fn index_entries(&self) -> Vec<Arc<IndexEntry>> {
         self.indexes.lock().values().cloned().collect()
     }
-}
-
-/// A validated single-row mutation, borrowed out of a [`WalRecord`].
-enum Mutation<'a> {
-    Insert(&'a Tuple),
-    Update(usize, &'a Tuple),
-    Delete(usize),
 }
 
 #[cfg(test)]
@@ -531,6 +587,70 @@ mod tests {
         );
         // Failed records leave the table untouched.
         assert_eq!(c.expect("m").len(), 1);
+    }
+
+    #[test]
+    fn an_over_wide_logged_record_is_a_typed_error_on_replay() {
+        // A hand-made log image carrying a row no page can hold: the
+        // recovery scan accepts it (it is well-formed), and applying it
+        // fails with a typed error instead of a panic.
+        let wide = vec![Value::str("x".repeat(9000))];
+        let mut wal = crate::wal::WriteAheadLog::new();
+        wal.append(&WalRecord::Insert {
+            table: "d".into(),
+            tuple: wide,
+        })
+        .expect("append");
+        wal.append(&WalRecord::Commit { txn: 1 }).expect("append");
+        wal.fsync().expect("fsync");
+        let rec = crate::wal::WriteAheadLog::recover(&wal.image()).expect("well-formed image");
+        let mut c = Catalog::new(16);
+        let s = Schema::new(&[("s", crate::value::ColumnType::Str)]);
+        c.add_disk_table("d", s, &[vec![Value::str("a")]]);
+        let err = c.apply_wal_record(&rec.records[0]).unwrap_err();
+        assert!(
+            matches!(err, WalError::TupleTooWide { ref table, bytes: 9005 } if table == "d"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("more than table"));
+        assert_eq!(c.expect("d").len(), 1, "the table is untouched");
+    }
+
+    #[test]
+    fn update_keeping_the_key_leaves_the_index_as_it_was() {
+        let mut c = Catalog::new(64);
+        let s = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Int)]);
+        let rows: Vec<_> = (0..500).map(|i| vec![Value::Int(i), Value::Int(0)]).collect();
+        c.add_disk_table("d", s, &rows);
+        let before = c.create_index("ix", "d", "k").expect("create").index.clone();
+        c.apply_wal_record(&WalRecord::Update {
+            table: "d".into(),
+            row: 7,
+            tuple: vec![Value::Int(7), Value::Int(1)],
+        })
+        .expect("update");
+        let kept = c.index("ix").expect("index").index.clone();
+        assert!(Arc::ptr_eq(&before, &kept), "no entry changed");
+        c.apply_wal_record(&WalRecord::Update {
+            table: "d".into(),
+            row: 7,
+            tuple: vec![Value::Int(9999), Value::Int(1)],
+        })
+        .expect("update");
+        let rebuilt = c.index("ix").expect("index").index.clone();
+        assert!(!Arc::ptr_eq(&kept, &rebuilt), "a changed key rebuilds");
+        let probe = rebuilt.probe_point(&Value::Int(9999)).expect("probe");
+        assert_eq!(probe.row_ids, vec![7]);
+    }
+
+    #[test]
+    fn create_index_rejects_keys_too_wide_for_a_node() {
+        let mut c = Catalog::new(16);
+        let s = Schema::new(&[("s", ColumnType::Str)]);
+        c.add_disk_table("d", s, &[vec![Value::str("x".repeat(5000))]]);
+        let err = c.create_index("ix", "d", "s").unwrap_err();
+        assert!(matches!(err, IndexError::KeyTooWide { bytes: 5014, .. }), "{err}");
+        assert!(c.index_names().is_empty());
     }
 
     #[test]

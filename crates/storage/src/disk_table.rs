@@ -1,12 +1,14 @@
 //! Paged table behind the buffer pool — the "commercial disk-based
 //! DBMS" profile.
 //!
-//! Tuples are packed into 8 KB slotted pages at load time; reads go
-//! through the shared [`BufferPool`], which charges simulated I/O on
-//! misses. Pages decode to tuple vectors once per residency and are
-//! shared via `Arc` (the decode cost is charged by the executor as
-//! tuple-fetch work, same as the memory engine — the engines differ in
-//! I/O, not in tuple-access accounting).
+//! Tuples are packed greedily into 8 KB slotted pages at load time,
+//! and a single-row mutation re-packs only the pages it changes
+//! ([`DiskTable::apply`]); reads go through the shared [`BufferPool`],
+//! which charges simulated I/O on misses. Pages decode to tuple
+//! vectors once per residency and are shared via `Arc` (the decode
+//! cost is charged by the executor as tuple-fetch work, same as the
+//! memory engine — the engines differ in I/O, not in tuple-access
+//! accounting).
 
 use std::sync::{Arc, OnceLock};
 
@@ -16,7 +18,7 @@ use eco_simhw::trace::DiskWork;
 use crate::bufferpool::{BufferPool, PageId, EXTENT_PAGES};
 use crate::column::DataChunk;
 use crate::encode::EncodedChunk;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{serialize_into, serialized_len, Page, MAX_TUPLE_BYTES, PAGE_SIZE};
 use crate::value::{Schema, Tuple};
 
 /// A page read that could not be satisfied: every attempt within the
@@ -139,21 +141,109 @@ impl ColumnarExtents {
     }
 }
 
-/// A read-only paged table.
+/// A tuple too wide to store: its serialized form
+/// ([`crate::page::serialized_len`]) is wider than a page holds
+/// ([`MAX_TUPLE_BYTES`]), an index entry built from it is wider than an
+/// index node holds ([`crate::btree::MAX_ENTRY_BYTES`]), or one of its
+/// strings is longer than a 16-bit length prefix allows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TupleTooWide {
+    /// Width in bytes of the row, index entry or string.
+    pub bytes: usize,
+    /// The widest that fits.
+    pub max: usize,
+}
+
+impl std::fmt::Display for TupleTooWide {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "too wide to store: {} bytes exceed the {}-byte limit",
+            self.bytes, self.max
+        )
+    }
+}
+
+impl std::error::Error for TupleTooWide {}
+
+/// A logical single-row mutation of a table, against its state at
+/// apply time (see [`crate::wal::WalRecord`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Mutation<'a> {
+    /// Append the tuple.
+    Insert(&'a Tuple),
+    /// Overwrite the row with the tuple.
+    Update(usize, &'a Tuple),
+    /// Remove the row; later rows shift down by one.
+    Delete(usize),
+}
+
+/// The greedy page packer [`DiskTable::load`] and [`DiskTable::apply`]
+/// share: serialized tuples are appended in row order, and a page is
+/// closed exactly when the next tuple does not fit it. A page's image
+/// therefore depends only on the tuple it starts with and the tuples
+/// after it, which is what lets `apply` stop re-packing early.
+struct Packer {
+    pages: Vec<Arc<Page>>,
+    checksums: Vec<u64>,
+    current: Page,
+}
+
+impl Packer {
+    /// Continue packing after the finished `pages`.
+    fn after(pages: &[Arc<Page>], checksums: &[u64]) -> Self {
+        Self {
+            pages: pages.to_vec(),
+            checksums: checksums.to_vec(),
+            current: Page::new(),
+        }
+    }
+
+    /// Append one serialized tuple of at most [`MAX_TUPLE_BYTES`] (see
+    /// `DiskTable::serialize`), closing the current page first when
+    /// it does not fit. Returns whether the tuple starts a page.
+    fn push(&mut self, payload: &[u8]) -> bool {
+        let starts = self.current.is_empty();
+        if self.current.push_payload(payload) {
+            return starts;
+        }
+        self.close();
+        let fits = self.current.push_payload(payload);
+        debug_assert!(fits, "payload wider than an empty page");
+        true
+    }
+
+    fn close(&mut self) {
+        if !self.current.is_empty() {
+            let page = std::mem::take(&mut self.current);
+            self.checksums.push(page.checksum());
+            self.pages.push(Arc::new(page));
+        }
+    }
+
+    /// Close the current page and return every page with its checksum.
+    fn finish(mut self) -> (Vec<Arc<Page>>, Vec<u64>) {
+        self.close();
+        (self.pages, self.checksums)
+    }
+}
+
+/// A paged table. Pages are immutable and shared: a mutation
+/// ([`DiskTable::apply`]) yields a new version that reuses every page
+/// image (and checksum) it did not change.
 pub struct DiskTable {
     table_id: u32,
     schema: Schema,
-    pages: Vec<Page>,
-    /// Per-page FNV-1a checksums computed at load time and verified on
-    /// every checked buffer-pool miss (see
+    pages: Vec<Arc<Page>>,
+    /// Per-page FNV-1a checksums computed when each page image was
+    /// packed and verified on every checked buffer-pool miss (see
     /// [`DiskTable::read_page_checked`]).
     checksums: Vec<u64>,
     num_tuples: usize,
     pool: Arc<BufferPool>,
     columnar: OnceLock<ColumnarExtents>,
     /// Cumulative tuple offsets per page (lazily built; length
-    /// `num_pages + 1`) for row-id → page translation on the index
-    /// fetch path.
+    /// `num_pages + 1`) for row-id → page translation.
     row_offsets: OnceLock<Vec<usize>>,
 }
 
@@ -161,49 +251,161 @@ impl DiskTable {
     /// Pack `tuples` into pages and register with the pool.
     /// Panics if any tuple fails the schema or exceeds a page.
     pub fn load(table_id: u32, schema: Schema, tuples: &[Tuple], pool: Arc<BufferPool>) -> Self {
-        let mut pages = Vec::new();
-        let mut current = Page::new();
+        let mut packer = Packer::after(&[], &[]);
+        let mut payload = Vec::new();
         for t in tuples {
             assert!(
                 schema.check(t),
                 "tuple does not match schema {:?}",
                 schema.names()
             );
-            if !current.insert(t) {
-                assert!(
-                    !current.is_empty(),
-                    "tuple wider than a {PAGE_SIZE}-byte page"
-                );
-                pages.push(std::mem::take(&mut current));
-                assert!(current.insert(t), "tuple wider than an empty page");
+            if let Err(e) = Self::serialize(t, &mut payload) {
+                panic!("{e}");
             }
+            packer.push(&payload);
         }
-        if !current.is_empty() {
-            pages.push(current);
-        }
-        let checksums = pages.iter().map(Page::checksum).collect();
+        let (pages, checksums) = packer.finish();
+        Self::from_pages(table_id, schema, pages, checksums, tuples.len(), pool)
+    }
+
+    fn from_pages(
+        table_id: u32,
+        schema: Schema,
+        pages: Vec<Arc<Page>>,
+        checksums: Vec<u64>,
+        num_tuples: usize,
+        pool: Arc<BufferPool>,
+    ) -> Self {
         Self {
             table_id,
             schema,
             pages,
             checksums,
-            num_tuples: tuples.len(),
+            num_tuples,
             pool,
             columnar: OnceLock::new(),
             row_offsets: OnceLock::new(),
         }
     }
 
-    /// The lazily-built columnar mirror (see [`ColumnarExtents`]).
-    pub fn columnar(&self) -> &ColumnarExtents {
-        self.columnar.get_or_init(|| {
-            let mut page_rows = Vec::with_capacity(self.pages.len() + 1);
-            page_rows.push(0usize);
+    /// Serialize a tuple for packing into `out` (replacing its
+    /// contents), rejecting one no page can hold before its bytes are
+    /// built.
+    fn serialize(t: &Tuple, out: &mut Vec<u8>) -> Result<(), TupleTooWide> {
+        let bytes = serialized_len(t);
+        if bytes > MAX_TUPLE_BYTES {
+            return Err(TupleTooWide {
+                bytes,
+                max: MAX_TUPLE_BYTES,
+            });
+        }
+        out.clear();
+        serialize_into(t.iter(), out);
+        Ok(())
+    }
+
+    /// The table after one single-row mutation, under the same id.
+    /// Pages, checksums, [`Self::avg_tuple_bytes`] and
+    /// [`Self::row_location`] are exactly those of [`Self::load`] over
+    /// the mutated rows, but only the pages the mutation changes are
+    /// re-packed:
+    ///
+    /// * re-packing starts at the first page the mutation can change —
+    ///   the page holding the row, or the one before it when the row
+    ///   opens its page (a narrower tuple there may now fit the
+    ///   previous page);
+    /// * it copies serialized tuples without decoding them, and stops
+    ///   as soon as a re-packed page would start at an unchanged tuple
+    ///   that also starts an old page: greedy packing from there on
+    ///   reproduces the old pages, which are reused as they are.
+    ///
+    /// An insert re-packs only the last page. Stale cached pages are
+    /// the caller's to evict ([`BufferPool::evict_table`]). The row of
+    /// an update or delete must be in range (the catalog validates);
+    /// a tuple wider than a page is a typed [`TupleTooWide`] and leaves
+    /// `self` as it was.
+    pub fn apply(&self, m: Mutation<'_>) -> Result<DiskTable, TupleTooWide> {
+        let n = self.num_tuples;
+        let (row, tuple, num_tuples) = match m {
+            Mutation::Insert(t) => (n, Some(t), n + 1),
+            Mutation::Update(row, t) => (row, Some(t), n),
+            Mutation::Delete(row) => (row, None, n.saturating_sub(1)),
+        };
+        debug_assert!(row < n || matches!(m, Mutation::Insert(_)));
+        let new = match tuple {
+            Some(t) => {
+                let mut payload = Vec::new();
+                Self::serialize(t, &mut payload)?;
+                Some(payload)
+            }
+            None => None,
+        };
+        let offsets = self.offsets();
+        let last = self.pages.len().saturating_sub(1);
+        let mut start = (offsets.partition_point(|&o| o <= row) - 1).min(last);
+        if start > 0 && offsets[start] == row {
+            start -= 1;
+        }
+        let mut packer = Packer::after(&self.pages[..start], &self.checksums[..start]);
+        for (p, page) in self.pages.iter().enumerate().skip(start) {
+            for slot in 0..page.len() {
+                let old_row = offsets[p] + slot;
+                if old_row == row {
+                    if let Some(payload) = &new {
+                        packer.push(payload);
+                    }
+                    continue;
+                }
+                if packer.push(page.payload(slot)) && slot == 0 && old_row > row {
+                    // The tuple alone on the current page is where old
+                    // page `p` starts; the rest is unchanged.
+                    let mut pages = packer.pages;
+                    let mut checksums = packer.checksums;
+                    pages.extend_from_slice(&self.pages[p..]);
+                    checksums.extend_from_slice(&self.checksums[p..]);
+                    return Ok(self.version(pages, checksums, num_tuples));
+                }
+            }
+        }
+        if row == n {
+            if let Some(payload) = &new {
+                packer.push(payload);
+            }
+        }
+        let (pages, checksums) = packer.finish();
+        Ok(self.version(pages, checksums, num_tuples))
+    }
+
+    fn version(&self, pages: Vec<Arc<Page>>, checksums: Vec<u64>, num_tuples: usize) -> Self {
+        Self::from_pages(
+            self.table_id,
+            self.schema.clone(),
+            pages,
+            checksums,
+            num_tuples,
+            Arc::clone(&self.pool),
+        )
+    }
+
+    /// Cumulative tuple offsets per page: page `p` holds rows
+    /// `[offsets[p], offsets[p + 1])`. Length `num_pages + 1`.
+    fn offsets(&self) -> &[usize] {
+        self.row_offsets.get_or_init(|| {
+            let mut v = Vec::with_capacity(self.pages.len() + 1);
+            v.push(0usize);
             let mut total = 0usize;
             for p in &self.pages {
                 total += p.len();
-                page_rows.push(total);
+                v.push(total);
             }
+            v
+        })
+    }
+
+    /// The lazily-built columnar mirror (see [`ColumnarExtents`]).
+    pub fn columnar(&self) -> &ColumnarExtents {
+        self.columnar.get_or_init(|| {
+            let page_rows = self.offsets().to_vec();
             let extent = EXTENT_PAGES as usize;
             let mut extents = Vec::with_capacity(self.pages.len().div_ceil(extent));
             for chunk_pages in self.pages.chunks(extent) {
@@ -238,6 +440,16 @@ impl DiskTable {
         self.pages.len()
     }
 
+    /// The image of page `page_no`, straight from the table (no pool).
+    pub fn page(&self, page_no: usize) -> &Page {
+        &self.pages[page_no]
+    }
+
+    /// Per-page checksums, in page order.
+    pub fn checksums(&self) -> &[u64] {
+        &self.checksums
+    }
+
     /// Number of tuples.
     pub fn len(&self) -> usize {
         self.num_tuples
@@ -255,32 +467,48 @@ impl DiskTable {
 
     /// Average tuple width, bytes.
     pub fn avg_tuple_bytes(&self) -> u64 {
-        let used: usize = self.pages.iter().map(Page::used_bytes).sum();
+        let used: usize = self.pages.iter().map(|p| p.used_bytes()).sum();
         used.checked_div(self.num_tuples).unwrap_or(0) as u64
     }
 
     /// Decode column `col` of every tuple in row order, straight from
     /// the pages — never through the buffer pool, so an index build
     /// charges no I/O (the same rule as the columnar mirror; see
-    /// [`ColumnarExtents`]).
+    /// [`ColumnarExtents`]). The other columns are skipped undecoded.
     pub fn column_with_row_ids(&self, col: usize) -> Vec<(crate::value::Value, usize)> {
         let mut out = Vec::with_capacity(self.num_tuples);
-        let mut row = 0usize;
-        for page in &self.pages {
-            for t in page.all_tuples() {
-                out.push((t[col].clone(), row));
-                row += 1;
-            }
-        }
+        self.scan_projected(&[col], |row, key| out.push((key[0].clone(), row)));
         out
     }
 
+    /// Visit columns `cols` (strictly ascending) of every tuple in row
+    /// order, as `(row, values)`, straight from the pages with no I/O
+    /// charged; the other columns are skipped undecoded. The DML scan's
+    /// source: a filtered `UPDATE`/`DELETE` decodes only what its
+    /// `WHERE` clause reads.
+    pub fn scan_projected(&self, cols: &[usize], mut f: impl FnMut(usize, &Tuple)) {
+        let mut values = Vec::with_capacity(cols.len());
+        let mut row = 0;
+        for page in &self.pages {
+            for slot in 0..page.len() {
+                page.project_into(slot, cols, &mut values);
+                f(row, &values);
+                row += 1;
+            }
+        }
+    }
+
+    /// Row `row`, decoded straight from its page with no I/O charged.
+    /// Panics on an out-of-range row.
+    pub fn tuple(&self, row: usize) -> Tuple {
+        let (page, slot) = self.row_location(row);
+        self.pages[page].get(slot)
+    }
+
     /// Every tuple in row order, straight from the pages — never
-    /// through the buffer pool, so no I/O is charged. This is the
-    /// mutating write path's rebuild source: a logical single-row
-    /// mutation of a paged table is modelled as collect → mutate →
-    /// reload under the same table id (after evicting the stale pages;
-    /// see [`BufferPool::evict_table`]).
+    /// through the buffer pool, so no I/O is charged. A full copy of
+    /// the table's contents for checks and exports; the write path
+    /// itself never decodes a whole table (see [`Self::apply`]).
     pub fn all_tuples(&self) -> Vec<Tuple> {
         let mut out = Vec::with_capacity(self.num_tuples);
         for page in &self.pages {
@@ -341,16 +569,7 @@ impl DiskTable {
     /// Panics on an out-of-range row.
     pub fn row_location(&self, row: usize) -> (usize, usize) {
         assert!(row < self.num_tuples, "row {row} out of range");
-        let offsets = self.row_offsets.get_or_init(|| {
-            let mut v = Vec::with_capacity(self.pages.len() + 1);
-            v.push(0usize);
-            let mut total = 0usize;
-            for p in &self.pages {
-                total += p.len();
-                v.push(total);
-            }
-            v
-        });
+        let offsets = self.offsets();
         // partition_point: first page whose end offset exceeds `row`.
         let page = offsets.partition_point(|&end| end <= row) - 1;
         (page, row - offsets[page])
@@ -459,7 +678,7 @@ impl DiskTable {
     /// must detect the mismatch, exhaust its retries and report
     /// [`IoError::Corrupt`].
     pub fn corrupt_page(&mut self, page_no: usize, offset: usize) {
-        self.pages[page_no].flip_byte(offset);
+        Arc::make_mut(&mut self.pages[page_no]).flip_byte(offset);
     }
 
     /// The buffer pool this table reads through.
@@ -515,6 +734,66 @@ mod tests {
             }
         }
         assert_eq!(seen, 2000);
+    }
+
+    /// `apply` must give exactly `load`'s layout of the mutated rows.
+    fn assert_same_layout(a: &DiskTable, b: &DiskTable) {
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.num_pages(), b.num_pages());
+        for p in 0..a.num_pages() {
+            assert!(a.page(p) == b.page(p), "page {p} differs");
+        }
+        assert_eq!(a.checksums(), b.checksums());
+        assert_eq!(a.avg_tuple_bytes(), b.avg_tuple_bytes());
+    }
+
+    #[test]
+    fn apply_repacks_only_the_pages_it_changes() {
+        let pool = Arc::new(BufferPool::new(64));
+        let mut rows = tuples(2000);
+        let t = DiskTable::load(1, schema(), &rows, Arc::clone(&pool));
+        let pages = t.num_pages();
+        let mid = rows.len() / 2;
+        let (page, _) = t.row_location(mid);
+        let shared = |a: &DiskTable, b: &DiskTable| {
+            (0..a.num_pages().min(b.num_pages()))
+                .filter(|&p| Arc::ptr_eq(&a.pages[p], &b.pages[p]))
+                .count()
+        };
+
+        // A same-width update changes one page; every other page image
+        // is shared with the old version.
+        let new = vec![Value::Int(-1), Value::str("value-XXXXXX")];
+        let u = t.apply(Mutation::Update(mid, &new)).expect("update");
+        rows[mid] = new.clone();
+        assert_same_layout(&u, &DiskTable::load(1, schema(), &rows, Arc::clone(&pool)));
+        assert_eq!(shared(&t, &u), pages - 1);
+        assert!(!Arc::ptr_eq(&t.pages[page], &u.pages[page]));
+
+        // An insert re-packs only the last page.
+        let i = u.apply(Mutation::Insert(&new)).expect("insert");
+        rows.push(new);
+        assert_same_layout(&i, &DiskTable::load(1, schema(), &rows, Arc::clone(&pool)));
+        assert!(shared(&u, &i) >= pages - 1);
+
+        // A delete shifts the rows after it: pages before the row are
+        // shared as they are.
+        let d = i.apply(Mutation::Delete(mid)).expect("delete");
+        rows.remove(mid);
+        assert_same_layout(&d, &DiskTable::load(1, schema(), &rows, Arc::clone(&pool)));
+        assert!(shared(&i, &d) >= page);
+        assert_eq!(d.all_tuples(), rows);
+    }
+
+    #[test]
+    fn apply_rejects_a_tuple_wider_than_a_page() {
+        let pool = Arc::new(BufferPool::new(4));
+        let t = DiskTable::load(1, schema(), &tuples(10), pool);
+        let wide = vec![Value::Int(0), Value::str("x".repeat(PAGE_SIZE))];
+        let err = t.apply(Mutation::Insert(&wide)).unwrap_err();
+        assert_eq!(err.max, MAX_TUPLE_BYTES);
+        assert!(err.to_string().contains("-byte limit"));
+        assert!(t.apply(Mutation::Update(3, &wide)).is_err());
     }
 
     #[test]

@@ -59,8 +59,10 @@
 //! than just a latency one. [`Catalog::apply_wal_record`] is the
 //! single mutation entry point shared by live execution and recovery
 //! replay, so crash recovery provably lands on the committed-prefix
-//! state. Read-only workloads log nothing and stay bit-identical to
-//! every pre-v5 ledger.
+//! state. A disk-table mutation re-packs only the pages it changes
+//! ([`disk_table::DiskTable::apply`]), byte-identical to reloading the
+//! mutated rows. Read-only workloads log nothing and stay
+//! bit-identical to every pre-v5 ledger.
 
 pub mod btree;
 pub mod bufferpool;
@@ -78,7 +80,7 @@ pub use btree::{BTreeIndex, IndexProbe, KeyBound};
 pub use bufferpool::{BufferPool, PageId};
 pub use catalog::{Catalog, IndexEntry, IndexError, StoredTable, TableData};
 pub use column::{ColumnChunk, ColumnData, DataChunk};
-pub use disk_table::{ColumnarExtents, IoError};
+pub use disk_table::{ColumnarExtents, IoError, Mutation, TupleTooWide};
 pub use encode::{BitPacked, EncodedChunk, EncodedColumn};
 pub use heap::HeapTable;
 pub use loader::{load_tbl, load_tpch, parse_tbl, EngineKind, LoadError};

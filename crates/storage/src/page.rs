@@ -3,8 +3,8 @@
 //! Classic layout: a header (slot count), a slot directory growing from
 //! the front, and tuple payloads packed from the back. Values use a
 //! compact tagged serialization. Pages are fixed at 8 KB — a tuple that
-//! cannot fit an empty page is rejected at load time (TPC-H's widest
-//! rows are far below that).
+//! cannot fit an empty page ([`MAX_TUPLE_BYTES`]) is rejected (TPC-H's
+//! widest rows are far below that).
 
 use crate::value::{Tuple, Value};
 
@@ -13,6 +13,15 @@ pub const PAGE_SIZE: usize = 8192;
 
 const HEADER: usize = 4; // u16 slot_count + u16 free_end
 const SLOT: usize = 4; // u16 offset + u16 len
+
+/// The widest serialized tuple ([`serialized_len`]) of which `n` fit
+/// an empty page together.
+pub const fn max_tuple_bytes(n: usize) -> usize {
+    (PAGE_SIZE - HEADER) / n - SLOT
+}
+
+/// The widest serialized tuple an empty page holds.
+pub const MAX_TUPLE_BYTES: usize = max_tuple_bytes(1);
 
 /// A fixed-size slotted page of serialized tuples.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,13 +77,19 @@ impl Page {
 
     /// Try to append a tuple; returns `false` when it does not fit.
     pub fn insert(&mut self, tuple: &Tuple) -> bool {
-        let payload = serialize_tuple(tuple);
+        serialized_len(tuple) + SLOT <= self.free_space()
+            && self.push_payload(&serialize_tuple(tuple))
+    }
+
+    /// Try to append an already serialized tuple (see
+    /// [`serialize_tuple`]); returns `false` when it does not fit.
+    pub(crate) fn push_payload(&mut self, payload: &[u8]) -> bool {
         if payload.len() + SLOT > self.free_space() {
             return false;
         }
         let end = self.free_end() as usize;
         let start = end - payload.len();
-        self.buf[start..end].copy_from_slice(&payload);
+        self.buf[start..end].copy_from_slice(payload);
         let slot = self.slot_count() as usize;
         let off = HEADER + slot * SLOT;
         self.buf[off..off + 2].copy_from_slice(&(start as u16).to_le_bytes());
@@ -84,13 +99,37 @@ impl Page {
         true
     }
 
-    /// Read the tuple in a slot. Panics on an out-of-range slot.
-    pub fn get(&self, slot: usize) -> Tuple {
+    /// The serialized bytes of the tuple in a slot. Panics on an
+    /// out-of-range slot.
+    pub(crate) fn payload(&self, slot: usize) -> &[u8] {
         assert!(slot < self.len(), "slot {slot} out of range {}", self.len());
         let off = HEADER + slot * SLOT;
         let start = u16::from_le_bytes([self.buf[off], self.buf[off + 1]]) as usize;
         let len = u16::from_le_bytes([self.buf[off + 2], self.buf[off + 3]]) as usize;
-        deserialize_tuple(&self.buf[start..start + len])
+        &self.buf[start..start + len]
+    }
+
+    /// Read the tuple in a slot. Panics on an out-of-range slot.
+    pub fn get(&self, slot: usize) -> Tuple {
+        deserialize_tuple(self.payload(slot))
+    }
+
+    /// Read columns `cols` (strictly ascending) of the tuple in a slot
+    /// into `out` (replacing its contents), skipping the others without
+    /// decoding them.
+    pub(crate) fn project_into(&self, slot: usize, cols: &[usize], out: &mut Tuple) {
+        let buf = self.payload(slot);
+        let mut pos = 2;
+        let mut next = 0;
+        out.clear();
+        for &col in cols {
+            assert!(col >= next, "projected columns must be strictly ascending");
+            for _ in next..col {
+                skip_value(buf, &mut pos);
+            }
+            out.push(read_value(buf, &mut pos));
+            next = col + 1;
+        }
     }
 
     /// Decode every tuple on the page.
@@ -162,71 +201,96 @@ fn serialize_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
+/// Length in bytes of [`serialize_tuple`]'s output, computed without
+/// serializing.
+pub fn serialized_len(t: &Tuple) -> usize {
+    2 + t.iter().map(value_len).sum::<usize>()
+}
+
+/// Length in bytes of one serialized value, tag included.
+pub(crate) fn value_len(v: &Value) -> usize {
+    match v {
+        Value::Int(_) => 9,
+        Value::Str(s) => 3 + s.len(),
+        Value::Date(_) => 5,
+        Value::Char(c) => 2 + c.len_utf8(),
+        Value::Bool(_) => 2,
+    }
+}
+
 /// Serialize a tuple to bytes (u16 arity + tagged values).
 pub fn serialize_tuple(t: &Tuple) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + t.len() * 10);
-    out.extend_from_slice(&(t.len() as u16).to_le_bytes());
-    for v in t {
-        serialize_value(v, &mut out);
-    }
+    let mut out = Vec::with_capacity(serialized_len(t));
+    serialize_into(t.iter(), &mut out);
     out
+}
+
+/// Append the serialization of the tuple made of `values` to `out`
+/// (the bytes [`serialize_tuple`] gives), without building the tuple.
+pub(crate) fn serialize_into<'a>(values: impl ExactSizeIterator<Item = &'a Value>, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(values.len() as u16).to_le_bytes());
+    for v in values {
+        serialize_value(v, out);
+    }
 }
 
 /// Deserialize a tuple from bytes produced by [`serialize_tuple`].
 pub fn deserialize_tuple(buf: &[u8]) -> Tuple {
     let arity = u16::from_le_bytes([buf[0], buf[1]]) as usize;
     let mut pos = 2;
-    let mut out = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let tag = buf[pos];
-        pos += 1;
-        let v = match tag {
-            TAG_INT => {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&buf[pos..pos + 8]);
-                pos += 8;
-                Value::Int(i64::from_le_bytes(b))
-            }
-            TAG_STR => {
-                let len = u16::from_le_bytes([buf[pos], buf[pos + 1]]) as usize;
-                pos += 2;
-                let s = match std::str::from_utf8(&buf[pos..pos + len]) {
-                    Ok(s) => s,
-                    Err(e) => panic!("corrupt page: bad utf8 ({e})"),
-                };
-                pos += len;
-                Value::str(s)
-            }
-            TAG_DATE => {
-                let mut b = [0u8; 4];
-                b.copy_from_slice(&buf[pos..pos + 4]);
-                pos += 4;
-                Value::Date(i32::from_le_bytes(b))
-            }
-            TAG_CHAR => {
-                let len = buf[pos] as usize;
-                pos += 1;
-                let s = match std::str::from_utf8(&buf[pos..pos + len]) {
-                    Ok(s) => s,
-                    Err(e) => panic!("corrupt page: bad utf8 ({e})"),
-                };
-                pos += len;
-                let c = match s.chars().next() {
-                    Some(c) => c,
-                    None => panic!("corrupt page: empty char payload"),
-                };
-                Value::Char(c)
-            }
-            TAG_BOOL => {
-                let b = buf[pos] != 0;
-                pos += 1;
-                Value::Bool(b)
-            }
-            other => panic!("corrupt page: unknown value tag {other}"),
-        };
-        out.push(v);
+    (0..arity).map(|_| read_value(buf, &mut pos)).collect()
+}
+
+/// Decode the tagged value at `*pos`, advancing past it.
+fn read_value(buf: &[u8], pos: &mut usize) -> Value {
+    let tag = buf[*pos];
+    let body = *pos + 1;
+    *pos = body + value_body_len(buf, tag, body);
+    let field = &buf[body..*pos];
+    match tag {
+        TAG_INT => {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(field);
+            Value::Int(i64::from_le_bytes(b))
+        }
+        TAG_STR => Value::str(utf8(&field[2..])),
+        TAG_DATE => {
+            let mut b = [0u8; 4];
+            b.copy_from_slice(field);
+            Value::Date(i32::from_le_bytes(b))
+        }
+        TAG_CHAR => match utf8(&field[1..]).chars().next() {
+            Some(c) => Value::Char(c),
+            None => panic!("corrupt page: empty char payload"),
+        },
+        TAG_BOOL => Value::Bool(field[0] != 0),
+        other => panic!("corrupt page: unknown value tag {other}"),
     }
-    out
+}
+
+/// Advance `*pos` past the tagged value there without decoding it.
+fn skip_value(buf: &[u8], pos: &mut usize) {
+    let tag = buf[*pos];
+    *pos += 1 + value_body_len(buf, tag, *pos + 1);
+}
+
+/// Bytes after the tag of a value whose body starts at `body`.
+fn value_body_len(buf: &[u8], tag: u8, body: usize) -> usize {
+    match tag {
+        TAG_INT => 8,
+        TAG_STR => 2 + u16::from_le_bytes([buf[body], buf[body + 1]]) as usize,
+        TAG_DATE => 4,
+        TAG_CHAR => 1 + buf[body] as usize,
+        TAG_BOOL => 1,
+        other => panic!("corrupt page: unknown value tag {other}"),
+    }
+}
+
+fn utf8(bytes: &[u8]) -> &str {
+    match std::str::from_utf8(bytes) {
+        Ok(s) => s,
+        Err(e) => panic!("corrupt page: bad utf8 ({e})"),
+    }
 }
 
 #[cfg(test)]
@@ -252,6 +316,63 @@ mod tests {
     fn unicode_roundtrip() {
         let t: Tuple = vec![Value::str("naïve — 日本"), Value::Char('é')];
         assert_eq!(deserialize_tuple(&serialize_tuple(&t)), t);
+    }
+
+    #[test]
+    fn serialized_len_matches_serialization() {
+        for t in [
+            sample(),
+            vec![
+                Value::str("naïve — 日本"),
+                Value::Char('é'),
+                Value::Bool(true),
+            ],
+            Vec::new(),
+        ] {
+            assert_eq!(serialized_len(&t), serialize_tuple(&t).len(), "{t:?}");
+        }
+    }
+
+    #[test]
+    fn projected_reads_skip_other_columns() {
+        let mut p = Page::new();
+        let t = vec![
+            Value::str("skipped"),
+            Value::Int(7),
+            Value::Char('日'),
+            Value::Bool(false),
+            Value::Date(-3),
+        ];
+        assert!(p.insert(&t));
+        let mut out = Vec::new();
+        for (col, v) in t.iter().enumerate() {
+            p.project_into(0, &[col], &mut out);
+            assert_eq!(out, vec![v.clone()]);
+        }
+        p.project_into(0, &[1, 4], &mut out);
+        assert_eq!(out, vec![Value::Int(7), Value::Date(-3)]);
+        p.project_into(0, &[], &mut out);
+        assert_eq!(out, Vec::<Value>::new());
+        p.project_into(0, &[0, 1, 2, 3, 4], &mut out);
+        assert_eq!(out, t);
+        assert_eq!(deserialize_tuple(p.payload(0)), t);
+    }
+
+    #[test]
+    fn an_empty_page_holds_exactly_max_tuple_bytes() {
+        // Arity 1 + a string: 2 + 3 + len bytes.
+        let widest = vec![Value::str("x".repeat(MAX_TUPLE_BYTES - 5))];
+        assert_eq!(serialized_len(&widest), MAX_TUPLE_BYTES);
+        let mut p = Page::new();
+        assert!(p.insert(&widest));
+        assert_eq!(p.free_space(), 0, "filled to the byte");
+        let wider = vec![Value::str("x".repeat(MAX_TUPLE_BYTES - 4))];
+        assert!(!Page::new().insert(&wider));
+        // Two tuples of max_tuple_bytes(2) fill a page together.
+        let half = vec![Value::str("x".repeat(max_tuple_bytes(2) - 5))];
+        let mut p = Page::new();
+        assert!(p.insert(&half) && p.insert(&half));
+        assert_eq!(p.free_space(), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   counted and dropped.
 //!
 //! Crash injection is data, not control flow: a
-//! [`WalCrash`](eco_simhw::fault::WalCrash) installed via
+//! [`WalCrash`] installed via
 //! [`WriteAheadLog::set_crash`] deterministically kills the log after N
 //! appends (optionally leaving a torn tail) or fails the Nth fsync, so
 //! the crash-replay equivalence property can sweep crash points.
@@ -113,6 +113,14 @@ pub enum WalError {
         /// Target table.
         table: String,
     },
+    /// A replayed tuple is too wide for the target table to store (see
+    /// [`crate::Catalog::check_width`]).
+    TupleTooWide {
+        /// Target table.
+        table: String,
+        /// Width in bytes of the row, index entry or string that does not fit.
+        bytes: usize,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -138,6 +146,10 @@ impl std::fmt::Display for WalError {
             WalError::SchemaMismatch { table } => {
                 write!(f, "log record tuple does not match schema of table {table:?}")
             }
+            WalError::TupleTooWide { table, bytes } => write!(
+                f,
+                "log record tuple needs {bytes} bytes, more than table {table:?} can store"
+            ),
         }
     }
 }
@@ -398,6 +410,10 @@ pub struct Recovery {
     /// Intact records discarded because their commit marker never made
     /// it into the log.
     pub uncommitted_records: usize,
+    /// Length of the committed prefix of the image: every byte up to
+    /// and including the last commit marker (see
+    /// [`WriteAheadLog::restarted`]).
+    pub committed_len: usize,
 }
 
 /// The simulated log device: an append-only byte image with an fsync
@@ -431,6 +447,19 @@ impl WriteAheadLog {
     /// A fresh, empty log with no crash point.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The log a restart continues: `committed` — the committed prefix
+    /// of a recovered image ([`Recovery::committed_len`]) — is already
+    /// durable, so a second recovery replays it again, and the next
+    /// fsync charges only bytes appended after it. Counters start at
+    /// zero and no crash point is installed.
+    pub fn restarted(committed: &[u8]) -> Self {
+        Self {
+            buf: committed.to_vec(),
+            durable_len: committed.len(),
+            ..Self::default()
+        }
     }
 
     /// Install (or clear) the injected crash point. Crash points are
@@ -533,6 +562,7 @@ impl WriteAheadLog {
             txns: Vec::new(),
             torn_tail: false,
             uncommitted_records: 0,
+            committed_len: 0,
         };
         let mut last_txn: Option<u64> = None;
         while pos < image.len() {
@@ -578,6 +608,7 @@ impl WriteAheadLog {
                     last_txn = Some(txn);
                     out.records.append(&mut staged);
                     out.txns.push(txn);
+                    out.committed_len = body_end;
                 }
                 other => staged.push(other),
             }
