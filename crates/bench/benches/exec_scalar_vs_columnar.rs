@@ -1,9 +1,8 @@
-//! Scalar (tuple-at-a-time) vs batch (vectorized `Vec<Tuple>`) vs
-//! columnar (typed column vectors + selection vectors) execution over
-//! TPC-H Q1/Q3/Q5/Q6 on the memory engine — the wall-clock payoff of
-//! the `next_batch` and `next_chunk` paths, whose energy ledgers are
-//! bit-identical to scalar execution by construction
-//! (`tests/integration_vectorized.rs`, `tests/integration_columnar.rs`).
+//! Scalar (tuple-at-a-time) vs columnar (typed column vectors +
+//! selection vectors) execution over TPC-H Q1/Q3/Q5/Q6 on the memory
+//! engine — the wall-clock payoff of the `next_chunk` path, whose
+//! energy ledger is bit-identical to scalar execution by construction
+//! (`tests/integration_columnar.rs`).
 //!
 //! Prints an explicit speedup summary first (median of several timed
 //! runs per mode), then registers the individual criterion benchmarks.
@@ -14,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use eco_bench::bench_db_memory;
 use eco_core::server::EcoDb;
 use eco_query::context::ExecCtx;
-use eco_query::exec::{execute, execute_columnar, execute_scalar};
+use eco_query::exec::{execute_columnar, execute_scalar};
 use eco_query::ops::BoxedOp;
 use eco_query::plans;
 use std::hint::black_box;
@@ -45,14 +44,8 @@ const QUERIES: [(&str, PlanFn); 4] = [("q1", q1), ("q3", q3), ("q5", q5), ("q6",
 
 fn run_scalar(db: &EcoDb, plan_fn: PlanFn) -> usize {
     let mut plan = plan_fn(db);
-    let mut ctx = ExecCtx::new().with_batch_size(1);
+    let mut ctx = ExecCtx::new();
     execute_scalar(plan.as_mut(), &mut ctx).len()
-}
-
-fn run_batch(db: &EcoDb, plan_fn: PlanFn) -> usize {
-    let mut plan = plan_fn(db);
-    let mut ctx = ExecCtx::new(); // default batch size (1024)
-    execute(plan.as_mut(), &mut ctx).len()
 }
 
 fn run_columnar(db: &EcoDb, plan_fn: PlanFn) -> usize {
@@ -75,19 +68,14 @@ fn median_time(mut f: impl FnMut() -> usize, samples: usize) -> Duration {
 }
 
 fn speedup_report(db: &EcoDb) {
-    println!("== scalar vs batch vs columnar execution (memory engine) ==");
+    println!("== scalar vs columnar execution (memory engine) ==");
     for (name, plan_fn) in QUERIES {
         let scalar = median_time(|| run_scalar(db, plan_fn), 7);
-        let batch = median_time(|| run_batch(db, plan_fn), 7);
         let columnar = median_time(|| run_columnar(db, plan_fn), 7);
-        let batch_speedup = scalar.as_secs_f64() / batch.as_secs_f64();
-        let col_speedup = scalar.as_secs_f64() / columnar.as_secs_f64();
-        let col_vs_batch = batch.as_secs_f64() / columnar.as_secs_f64();
+        let speedup = scalar.as_secs_f64() / columnar.as_secs_f64();
         println!(
-            "{name}: scalar {:>9.3} ms  batch {:>9.3} ms ({batch_speedup:.2}x)  \
-             columnar {:>9.3} ms ({col_speedup:.2}x, {col_vs_batch:.2}x over batch)",
+            "{name}: scalar {:>9.3} ms  columnar {:>9.3} ms ({speedup:.2}x)",
             scalar.as_secs_f64() * 1e3,
-            batch.as_secs_f64() * 1e3,
             columnar.as_secs_f64() * 1e3,
         );
     }
@@ -97,14 +85,11 @@ fn bench(c: &mut Criterion) {
     let db = bench_db_memory();
     speedup_report(&db);
 
-    let mut g = c.benchmark_group("exec_batch_vs_scalar");
+    let mut g = c.benchmark_group("exec_scalar_vs_columnar");
     g.sample_size(10);
     for (name, plan_fn) in QUERIES {
         g.bench_function(format!("{name}/scalar"), |b| {
             b.iter(|| black_box(run_scalar(&db, plan_fn)))
-        });
-        g.bench_function(format!("{name}/batch"), |b| {
-            b.iter(|| black_box(run_batch(&db, plan_fn)))
         });
         g.bench_function(format!("{name}/columnar"), |b| {
             b.iter(|| black_box(run_columnar(&db, plan_fn)))

@@ -7,7 +7,7 @@
 //!   wall-clock scaling on TPC-H Q1/Q5/Q6 (memory engine), with the
 //!   merged parallel ledger verified bit-identical to serial execution
 //!   at every worker count;
-//! * `BENCH_columnar.json` — batch vs columnar medians and speedups on
+//! * `BENCH_columnar.json` — scalar vs columnar medians and speedups on
 //!   TPC-H Q1/Q6 (the scan/aggregate-bound queries the columnar path
 //!   targets), with rows and ledgers verified identical across engines;
 //! * `BENCH_throughput.json` — the eco-server under saturating session
@@ -102,41 +102,33 @@ fn median_ns(mut f: impl FnMut(), samples: usize) -> u128 {
     times[times.len() / 2].as_nanos()
 }
 
-/// Batch-vs-columnar medians + identity flags for `BENCH_columnar.json`.
+/// Scalar-vs-columnar medians + identity flags for `BENCH_columnar.json`.
 /// Returns the JSON blob and the number of identity failures.
 fn columnar_report(db: &EcoDb) -> (String, usize) {
     let mut failures = 0usize;
     let mut blobs = Vec::new();
     for (name, plan_fn) in [("q1", q1 as PlanFn), ("q6", q6 as PlanFn)] {
-        // Identity: scalar is the reference; batch and columnar must
-        // match its rows and its full ledger bit-for-bit.
-        let mut sctx = ExecCtx::new().with_batch_size(1);
+        // Identity: scalar is the reference; columnar must match its
+        // rows and its full ledger bit-for-bit.
+        let mut sctx = ExecCtx::new();
         let scalar_rows = execute_scalar(plan_fn(db).as_mut(), &mut sctx);
-        let mut bctx = ExecCtx::new();
-        let batch_rows = execute(plan_fn(db).as_mut(), &mut bctx);
         let mut cctx = ExecCtx::new();
         let columnar_rows = execute_columnar(plan_fn(db).as_mut(), &mut cctx);
-        let identical = |ctx: &ExecCtx, rows: &[Vec<eco_storage::Value>]| {
-            rows == &scalar_rows[..]
-                && ctx.cpu == sctx.cpu
-                && ctx.mem_stream_bytes == sctx.mem_stream_bytes
-                && ctx.mem_random_accesses == sctx.mem_random_accesses
-                && ctx.disk == sctx.disk
-                && ctx.pred_evals == sctx.pred_evals
-        };
-        let batch_identical = identical(&bctx, &batch_rows);
-        let columnar_identical = identical(&cctx, &columnar_rows);
-        if !batch_identical || !columnar_identical {
-            eprintln!(
-                "FAIL: {name} engine identity (batch={batch_identical}, columnar={columnar_identical})"
-            );
+        let columnar_identical = columnar_rows == scalar_rows
+            && cctx.cpu == sctx.cpu
+            && cctx.mem_stream_bytes == sctx.mem_stream_bytes
+            && cctx.mem_random_accesses == sctx.mem_random_accesses
+            && cctx.disk == sctx.disk
+            && cctx.pred_evals == sctx.pred_evals;
+        if !columnar_identical {
+            eprintln!("FAIL: {name} engine identity (columnar={columnar_identical})");
             failures += 1;
         }
 
-        let batch_ns = median_ns(
+        let scalar_ns = median_ns(
             || {
                 let mut ctx = ExecCtx::new();
-                std::hint::black_box(execute(plan_fn(db).as_mut(), &mut ctx).len());
+                std::hint::black_box(execute_scalar(plan_fn(db).as_mut(), &mut ctx).len());
             },
             SAMPLES,
         );
@@ -147,21 +139,20 @@ fn columnar_report(db: &EcoDb) -> (String, usize) {
             },
             SAMPLES,
         );
-        let speedup = batch_ns as f64 / columnar_ns as f64;
+        let speedup = scalar_ns as f64 / columnar_ns as f64;
         println!(
-            "{name} columnar: batch {:.3} ms, columnar {:.3} ms, speedup {speedup:.2}x, \
+            "{name} columnar: scalar {:.3} ms, columnar {:.3} ms, speedup {speedup:.2}x, \
              ledger_identical={columnar_identical}",
-            batch_ns as f64 / 1e6,
+            scalar_ns as f64 / 1e6,
             columnar_ns as f64 / 1e6,
         );
         blobs.push(format!(
-            "\"{name}\":{{\"batch_median_ns\":{batch_ns},\"columnar_median_ns\":{columnar_ns},\
-             \"speedup\":{speedup:.4},\"batch_ledger_identical\":{batch_identical},\
-             \"columnar_ledger_identical\":{columnar_identical}}}"
+            "\"{name}\":{{\"scalar_median_ns\":{scalar_ns},\"columnar_median_ns\":{columnar_ns},\
+             \"speedup\":{speedup:.4},\"columnar_ledger_identical\":{columnar_identical}}}"
         ));
     }
     let json = format!(
-        "{{\"bench\":\"exec_columnar_vs_batch\",\"scale\":{},\"samples\":{SAMPLES},\"queries\":{{{}}}}}\n",
+        "{{\"bench\":\"exec_scalar_vs_columnar\",\"scale\":{},\"samples\":{SAMPLES},\"queries\":{{{}}}}}\n",
         eco_bench::BENCH_SCALE,
         blobs.join(",")
     );
@@ -182,7 +173,7 @@ fn throughput_report() -> (String, usize) {
     const SESSIONS: [usize; 4] = [1, 64, 1_000, 10_000];
     const UNBATCHED_CAP: usize = 1_000;
 
-    // Columnar engine: same ledgers as batch execution, traces are just
+    // Columnar engine: same ledgers as scalar execution, traces are just
     // cheaper to produce at 10k sessions.
     let db = bench_db_memory().with_engine(ExecEngine::Columnar);
     let plan = plan_admission(&db, &AdmissionConfig::default());

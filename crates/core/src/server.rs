@@ -28,7 +28,9 @@ use eco_simhw::fault::FaultPlan;
 use eco_simhw::machine::{Machine, MachineConfig, Measurement};
 use eco_simhw::multicore::{MultiCoreMachine, MultiCoreMeasurement};
 use eco_simhw::trace::{DiskWork, OpClass, Phase, PhaseKind, PricingMode, WorkTrace};
-use eco_storage::{load_tpch, Catalog, EngineKind, Tuple, Value, WalError, WalRecord, WriteAheadLog};
+use eco_storage::{
+    load_tpch, Catalog, EngineKind, Tuple, Value, WalError, WalRecord, WriteAheadLog,
+};
 use eco_tpch::{q5_workload, Q5Params, QedQuery, TpchDb, TpchGenerator};
 use parking_lot::Mutex;
 
@@ -300,7 +302,7 @@ impl EcoDb {
             source,
             catalog,
             machine: Machine::paper_sut(),
-            engine: ExecEngine::Batch,
+            engine: ExecEngine::Scalar,
             pricing: PricingMode::Raw,
             wal: Mutex::new(WalState {
                 log: WriteAheadLog::new(),
@@ -315,14 +317,14 @@ impl EcoDb {
     }
 
     /// The execution engine driving statements (default
-    /// [`ExecEngine::Batch`]).
+    /// [`ExecEngine::Scalar`]).
     pub fn engine(&self) -> ExecEngine {
         self.engine
     }
 
     /// Same database with a different execution engine (builder style).
     ///
-    /// Because scalar, batch and columnar execution produce bit-identical
+    /// Because scalar and columnar execution produce bit-identical
     /// energy ledgers, every PVC/QED sweep and paper grid can be re-run
     /// under [`ExecEngine::Columnar`] and yields the same figures —
     /// only the wall-clock cost of *producing* the traces drops.
@@ -503,9 +505,7 @@ impl EcoDb {
         workers: usize,
     ) -> (Vec<Tuple>, Vec<WorkTrace>) {
         assert!(workers >= 1, "need at least one worker");
-        // Workers run batch or columnar pipelines per the engine knob
-        // (a Scalar engine falls back to batch pipelines here — the
-        // morsel driver is inherently batched).
+        // Workers run row or columnar pipelines per the engine knob.
         let mut ctx = self.exec_ctx().with_workers(workers);
         ctx.charge(OpClass::Parse, parse_tokens(kind));
         let rows = execute_parallel(plan.as_mut(), &mut ctx, workers);
@@ -581,22 +581,6 @@ impl EcoDb {
             }
         }
         (all_rows, core_traces)
-    }
-
-    /// Trace TPC-H Q6 across `workers` cores.
-    pub fn trace_q6_cores(
-        &self,
-        year: i32,
-        discount_pct: i64,
-        max_qty: i64,
-        workers: usize,
-    ) -> (Vec<Tuple>, Vec<WorkTrace>) {
-        self.trace_statement_cores(
-            StatementKind::Q6,
-            plans::q6_plan(&self.catalog, year, discount_pct, max_qty),
-            "Q6",
-            workers,
-        )
     }
 
     /// Trace a single QED selection across `workers` cores.
@@ -701,26 +685,6 @@ impl EcoDb {
 
                 Ok((split, self.assemble_core_traces(phases, Some(split_phase))))
             }
-        }
-    }
-
-    /// Run one Q6 morsel-parallel under a per-core configuration.
-    pub fn run_q6_cores(
-        &self,
-        year: i32,
-        discount_pct: i64,
-        max_qty: i64,
-        workers: usize,
-        config: MachineConfig,
-    ) -> ParallelQueryRun {
-        let (rows, core_traces) = self.trace_q6_cores(year, discount_pct, max_qty, workers);
-        let measurement = self
-            .multicore(workers)
-            .measure_uniform(&core_traces, &config);
-        ParallelQueryRun {
-            rows,
-            core_traces,
-            measurement,
         }
     }
 
@@ -859,7 +823,8 @@ impl EcoDb {
     /// `eco_query::sql::plan`); probes are charged as v4 index random
     /// I/O, so index-free sessions keep bit-identical ledgers.
     pub fn try_trace_sql(&self, sql: &str) -> Result<(Vec<Tuple>, WorkTrace), ServerError> {
-        self.trace_sql_inner(sql, true).map(|(rows, trace, _)| (rows, trace))
+        self.trace_sql_inner(sql, true)
+            .map(|(rows, trace, _)| (rows, trace))
     }
 
     /// [`Self::try_trace_sql`] with *deferred durability*: a DML
@@ -1036,7 +1001,9 @@ impl EcoDb {
         catalog
             .pool()
             .set_warm_reread_every(self.profile.warm_reread_every());
-        catalog.pool().set_fault_plan(self.catalog.pool().fault_plan());
+        catalog
+            .pool()
+            .set_fault_plan(self.catalog.pool().fault_plan());
         for r in &rec.records {
             catalog.apply_wal_record(r)?;
         }
@@ -1443,7 +1410,10 @@ mod tests {
         // Staged statements charge log *records* but no log I/O yet.
         for t in &staged_traces {
             assert!(t.phases().iter().all(|p| p.disk.log_ios == 0));
-            assert!(t.phases().iter().any(|p| p.cpu.count(OpClass::LogRecord) > 0));
+            assert!(t
+                .phases()
+                .iter()
+                .any(|p| p.cpu.count(OpClass::LogRecord) > 0));
         }
         assert!(db.wal_pending_bytes() > 0);
         assert_eq!(db.wal_fsyncs(), 0);
@@ -1474,10 +1444,12 @@ mod tests {
         // Arm a crash: the log dies on the 5th append with a torn tail.
         // Statements 1-2 (2 records each: row + commit) commit; the
         // third statement's row record is the 5th append and dies.
-        db.set_fault_plan(FaultPlan::none().with_wal_crash(WalCrash::KillAfterRecords {
-            records: 4,
-            torn: TornTail::MidPayload,
-        }));
+        db.set_fault_plan(
+            FaultPlan::none().with_wal_crash(WalCrash::KillAfterRecords {
+                records: 4,
+                torn: TornTail::MidPayload,
+            }),
+        );
         db.try_trace_sql("INSERT INTO region VALUES (50, 'A', 'x')")
             .expect("committed 1");
         db.try_trace_sql("INSERT INTO region VALUES (51, 'B', 'y')")

@@ -1,7 +1,7 @@
 //! Execution chunks: a shared [`DataChunk`] window plus an optional
 //! *selection vector*.
 //!
-//! Columnar operators pass [`Chunk`]s instead of `Vec<Tuple>` batches.
+//! Columnar operators pass [`Chunk`]s instead of single tuples.
 //! A chunk never copies column data on its way through a pipeline:
 //! scans emit `Arc`-shared windows over a table's columnar mirror,
 //! filters refine the selection vector (which rows are live) without

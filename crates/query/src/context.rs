@@ -4,9 +4,9 @@ use eco_simhw::trace::{CpuWork, DiskWork, OpClass, Phase, PhaseKind, PricingMode
 
 use crate::error::ExecError;
 
-/// Default number of tuples a batch-mode operator call produces (or, for
-/// filters, consumes). 1024 keeps a batch of lineitem-width tuples well
-/// inside L2 while amortizing per-call dispatch to noise.
+/// Default number of rows per columnar chunk. 1024 keeps a chunk of
+/// lineitem-width columns well inside L2 while amortizing per-call
+/// dispatch to noise.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// Default number of input tuples per morsel handed to a parallel
@@ -49,10 +49,11 @@ pub struct ExecCtx {
     pub short_circuit_or: bool,
     /// Number of predicate-term evaluations (for introspection/tests).
     pub pred_evals: u64,
-    /// Tuples per `next_batch` call. Execution *semantics and the
-    /// energy ledger are independent of this value* (it only changes
-    /// how work is chunked, never how much work is charged); it is a
-    /// pure throughput knob.
+    /// Rows per columnar chunk ([`crate::ops::Operator::next_chunk`]);
+    /// the row path ignores it. Execution *semantics and the energy
+    /// ledger are independent of this value* (it only changes how work
+    /// is chunked, never how much work is charged), so it is a pure
+    /// throughput knob that tests vary to prove exactly that.
     pub batch_size: usize,
     /// Worker threads available to parallel sections (1 = serial). Like
     /// `batch_size`, this is a pure throughput knob: the merged ledger
@@ -64,9 +65,9 @@ pub struct ExecCtx {
     pub morsel_rows: usize,
     /// Columnar execution: when set, drivers and blocking operators
     /// move data through [`crate::ops::Operator::next_chunk`] (typed
-    /// column vectors + selection vectors) instead of `Vec<Tuple>`
-    /// batches. Like `batch_size` and `workers`, a pure throughput
-    /// knob: the energy ledger is bit-identical either way
+    /// column vectors + selection vectors) instead of one tuple at a
+    /// time through `next()`. Like `batch_size` and `workers`, a pure
+    /// throughput knob: the energy ledger is bit-identical either way
     /// (`tests/integration_columnar.rs`).
     pub columnar: bool,
     /// Energy-pricing mode (ledger schema v3). Under the default
@@ -135,7 +136,7 @@ impl ExecCtx {
         }
     }
 
-    /// Same context with a different batch size (builder style).
+    /// Same context with a different chunk size (builder style).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         self.batch_size = batch_size;

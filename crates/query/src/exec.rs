@@ -1,20 +1,19 @@
 //! Driving a plan to completion.
 //!
-//! [`execute`] / [`execute_into`] drive the plan through the vectorized
-//! batch path ([`Operator::next_batch`]); [`execute_columnar`] drives
-//! it through the columnar path ([`Operator::next_chunk`] — typed
-//! column vectors and selection vectors, rows materialized only at the
-//! top); [`execute_scalar`] / [`execute_into_scalar`] retain the
-//! tuple-at-a-time Volcano loop; [`execute_parallel`] adds
-//! morsel-driven intra-query parallelism on worker threads and composes
-//! with all of them (a columnar context runs columnar pipelines on
-//! every worker). All paths produce identical result rows and
-//! bit-identical [`ExecCtx`] ledgers (see
-//! `tests/integration_vectorized.rs`, `tests/integration_columnar.rs`
-//! and `tests/integration_parallel.rs`) — engine choice, batch size and
+//! Two engines drive a plan. [`execute_scalar`] /
+//! [`execute_into_scalar`] run the tuple-at-a-time Volcano loop over
+//! [`Operator::next`] — the simple reference every identity test
+//! compares against. [`execute_columnar`] drives the columnar path
+//! ([`Operator::next_chunk`] — typed column vectors and selection
+//! vectors, rows materialized only at the top). [`execute`] /
+//! [`execute_into`] pick between them by [`ExecCtx::columnar`], and
+//! [`execute_parallel`] adds morsel-driven intra-query parallelism on
+//! worker threads to either (a columnar context runs columnar pipelines
+//! on every worker). All paths produce identical result rows and
+//! bit-identical [`ExecCtx`] ledgers (see `tests/integration_columnar.rs`
+//! and `tests/integration_parallel.rs`) — engine choice, chunk size and
 //! worker count are purely throughput knobs; the energy accounting the
 //! paper's figures are computed from never changes.
-
 //!
 //! ## Failure semantics
 //!
@@ -36,16 +35,14 @@ use crate::error::ExecError;
 use crate::ops::Operator;
 use crate::parallel::gather_parallel;
 
-/// Which execution engine drives a plan — a pure throughput knob; all
-/// three produce identical rows and bit-identical ledgers.
+/// Which execution engine drives a plan — a pure throughput knob; both
+/// produce identical rows and bit-identical ledgers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecEngine {
-    /// Tuple-at-a-time Volcano loop (the measured baseline).
+    /// Tuple-at-a-time Volcano loop: the reference path.
     Scalar,
-    /// Vectorized `Vec<Tuple>` batches (PR 2).
-    Batch,
     /// Typed column vectors + selection vectors with late
-    /// materialization (this PR); the fastest path on scan-heavy plans.
+    /// materialization; the fastest path on scan-heavy plans.
     Columnar,
 }
 
@@ -54,7 +51,6 @@ impl ExecEngine {
     pub fn name(self) -> &'static str {
         match self {
             ExecEngine::Scalar => "scalar",
-            ExecEngine::Batch => "batch",
             ExecEngine::Columnar => "columnar",
         }
     }
@@ -62,16 +58,12 @@ impl ExecEngine {
     /// Execute `plan` under this engine, appending into `out`. The
     /// engine choice is authoritative: a context whose
     /// [`ExecCtx::columnar`] flag disagrees is overridden for the
-    /// duration of the run (and restored), so `ExecEngine::Batch`
-    /// always measures the batch driver.
+    /// duration of the run (and restored), so `ExecEngine::Scalar`
+    /// always measures the row path all the way down.
     pub fn execute_into(self, plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
         let saved = ctx.columnar;
-        ctx.columnar = false;
-        match self {
-            ExecEngine::Scalar => execute_into_scalar(plan, ctx, out),
-            ExecEngine::Batch => execute_into(plan, ctx, out),
-            ExecEngine::Columnar => execute_columnar_into(plan, ctx, out),
-        }
+        ctx.columnar = self == ExecEngine::Columnar;
+        execute_into(plan, ctx, out);
         ctx.columnar = saved;
     }
 
@@ -115,10 +107,10 @@ fn take_exec_error(ctx: &mut ExecCtx) -> Result<(), ExecError> {
     }
 }
 
-/// Execute a plan through the batch path, returning all result tuples.
-/// Each result row charges one `ResultEmit` plus its width in memory
-/// bytes (materialization into the wire buffer — the DBMS side of the
-/// result path).
+/// Execute a plan through the engine [`ExecCtx::columnar`] names,
+/// returning all result tuples. Each result row charges one
+/// `ResultEmit` plus its width in memory bytes (materialization into
+/// the wire buffer — the DBMS side of the result path).
 pub fn execute(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
     let mut out = Vec::new();
     execute_into(plan, ctx, &mut out);
@@ -131,24 +123,12 @@ pub fn execute(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
 /// A context with [`ExecCtx::columnar`] set is routed through the
 /// columnar driver, so callers that thread a context through generic
 /// entry points (the server facade, the QED merger) get the columnar
-/// path without new plumbing.
+/// path without new plumbing; any other context runs the row path.
 pub fn execute_into(plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
     if ctx.columnar {
-        return execute_columnar_into(plan, ctx, out);
-    }
-    plan.open(ctx);
-    loop {
-        let start = out.len();
-        let more = plan.next_batch(ctx, out);
-        let emitted = &out[start..];
-        if !emitted.is_empty() {
-            let bytes: u64 = emitted.iter().map(tuple_width).sum();
-            ctx.charge(OpClass::ResultEmit, emitted.len() as u64);
-            ctx.charge_mem_bytes(bytes);
-        }
-        if !more {
-            return;
-        }
+        execute_columnar_into(plan, ctx, out);
+    } else {
+        execute_into_scalar(plan, ctx, out);
     }
 }
 
@@ -224,7 +204,7 @@ pub fn execute_parallel_into(
 ) {
     ctx.workers = workers.max(1);
     // Root-level gather for fully partitionable plans; the result-path
-    // charges below match execute_into's per-batch charging exactly.
+    // charges below sum to what execute_into charges per row.
     if let Some(rows) = gather_parallel(plan, ctx) {
         if !rows.is_empty() {
             let bytes: u64 = rows.iter().map(tuple_width).sum();
@@ -237,9 +217,9 @@ pub fn execute_parallel_into(
     execute_into(plan, ctx, out);
 }
 
-/// Execute a plan tuple-at-a-time (the Volcano baseline the batch path
-/// is benchmarked against). Identical results and ledger to
-/// [`execute`]; strictly more per-tuple overhead.
+/// Execute a plan tuple-at-a-time (the Volcano reference the columnar
+/// path is checked and benchmarked against). Identical results and
+/// ledger to [`execute_columnar`]; strictly more per-tuple overhead.
 pub fn execute_scalar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
     let mut out = Vec::new();
     execute_into_scalar(plan, ctx, &mut out);
@@ -283,18 +263,18 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_batch_agree_on_rows_and_ledger() {
-        let mut ctx_s = ExecCtx::new().with_batch_size(1);
+    fn scalar_and_columnar_agree_on_rows_and_ledger() {
+        let mut ctx_s = ExecCtx::new();
         let rows_s = execute_scalar(&mut plan(), &mut ctx_s);
 
-        for batch_size in [1, 3, 7, 1024] {
-            let mut ctx_b = ExecCtx::new().with_batch_size(batch_size);
-            let rows_b = execute(&mut plan(), &mut ctx_b);
-            assert_eq!(rows_b, rows_s, "batch size {batch_size}");
-            assert_eq!(ctx_b.cpu, ctx_s.cpu, "batch size {batch_size}");
-            assert_eq!(ctx_b.mem_stream_bytes, ctx_s.mem_stream_bytes);
-            assert_eq!(ctx_b.mem_random_accesses, ctx_s.mem_random_accesses);
-            assert_eq!(ctx_b.pred_evals, ctx_s.pred_evals);
+        for chunk_rows in [1, 3, 7, 1024] {
+            let mut ctx_c = ExecCtx::new().with_batch_size(chunk_rows);
+            let rows_c = execute_columnar(&mut plan(), &mut ctx_c);
+            assert_eq!(rows_c, rows_s, "chunk size {chunk_rows}");
+            assert_eq!(ctx_c.cpu, ctx_s.cpu, "chunk size {chunk_rows}");
+            assert_eq!(ctx_c.mem_stream_bytes, ctx_s.mem_stream_bytes);
+            assert_eq!(ctx_c.mem_random_accesses, ctx_s.mem_random_accesses);
+            assert_eq!(ctx_c.pred_evals, ctx_s.pred_evals);
         }
     }
 
@@ -303,9 +283,9 @@ mod tests {
         let mut ctx = ExecCtx::new();
         let rows_c = execute_columnar(&mut plan(), &mut ctx);
         assert!(!ctx.columnar, "flag must not leak out of the columnar run");
-        // The same context now drives a genuine batch run.
-        let rows_b = execute(&mut plan(), &mut ctx);
-        assert_eq!(rows_b, rows_c);
+        // The same context now drives a genuine row run.
+        let rows_s = execute(&mut plan(), &mut ctx);
+        assert_eq!(rows_s, rows_c);
     }
 
     #[test]

@@ -1,56 +1,43 @@
 //! # eco-query — the query execution engine under ecoDB
 //!
 //! A Volcano-style (iterator) executor over `eco-storage` tables with a
-//! **vectorized batch path**. Every operator does *real* work on real
+//! **columnar chunk path**. Every operator does *real* work on real
 //! tuples — scans scan, hash joins build and probe real hash tables,
 //! aggregates accumulate — and simultaneously accounts for that work in
 //! an [`context::ExecCtx`] ledger, which the machine model (`eco-simhw`)
 //! later prices in time and joules under a PVC setting.
 //!
-//! ## Batch execution
+//! ## Two engines
 //!
-//! [`ops::Operator::next_batch`] moves up to
-//! [`ExecCtx::batch_size`](context::ExecCtx) tuples (default
-//! [`context::DEFAULT_BATCH_SIZE`] = 1024) per virtual call;
-//! [`exec::execute`] drives plans through it, while
-//! [`exec::execute_scalar`] retains the tuple-at-a-time loop as the
-//! measured baseline. Scans emit whole page slices, filters push their
-//! predicate into the scan and evaluate it over borrowed rows (cloning
-//! only survivors), joins probe per batch with no per-row key
-//! allocation for single-column keys, and blocking operators drain
-//! their children in batches.
-//!
-//! The load-bearing invariant: **the energy ledger is identical across
-//! the two paths** — same op-class counts, memory bytes, random
-//! accesses and disk I/O, bit for bit. Batch paths charge per batch
-//! *with counts* (`charge(class, n)`), never re-price work, so a
-//! figure computed from a batch run equals one computed from a scalar
-//! run (enforced by `tests/integration_vectorized.rs`). The batch size
-//! is a pure throughput knob: on a scan-heavy TPC-H Q6 the batch path
-//! is several times faster (`cargo bench -p eco-bench --bench
-//! exec_batch_vs_scalar`) while producing the same rows and the same
-//! joules.
-//!
-//! ## Columnar execution
+//! [`ops::Operator::next`] is the row path: one tuple per call, and
+//! [`exec::execute_scalar`] drives it tuple-at-a-time all the way down.
+//! It is the simple reference every identity test compares against.
 //!
 //! [`ops::Operator::next_chunk`] streams [`chunk::Chunk`]s — `Arc`-shared
 //! windows of typed column vectors (`eco-storage`'s `DataChunk`) plus a
-//! *selection vector* of live rows — through the plan instead of
-//! `Vec<Tuple>` batches. Scans emit windows over a table's columnar
-//! mirror with no per-row clone; filters refine the selection vector
-//! column-at-a-time (short-circuiting becomes selection narrowing, with
-//! identical evaluation counts); aggregates update typed accumulator
-//! arrays keyed by group id; joins hash key columns directly; rows are
-//! re-materialized only at pipeline breakers and at the very top
-//! (**late materialization**). [`exec::execute_columnar`] drives the
-//! path (and [`exec::ExecEngine`] names all three engines); on
-//! scan-heavy TPC-H Q1/Q6 it is ~3-4x faster than the batch path
-//! (`exec_batch_vs_scalar` bench, recorded per-commit in CI's
-//! `BENCH_columnar.json`) while producing the same rows and **the same
-//! bit-identical energy ledger** — enforced by
-//! `tests/integration_columnar.rs` and the `columnar_matches_scalar`
-//! property test, on both storage engines, cold and warm, serial and
-//! morsel-parallel.
+//! *selection vector* of live rows — through the plan, up to
+//! [`ExecCtx::batch_size`](context::ExecCtx) rows (default
+//! [`context::DEFAULT_BATCH_SIZE`] = 1024) per call. Scans emit windows
+//! over a table's columnar mirror with no per-row clone; filters refine
+//! the selection vector column-at-a-time (short-circuiting becomes
+//! selection narrowing, with identical evaluation counts); aggregates
+//! update typed accumulator arrays keyed by group id; joins hash key
+//! columns directly; rows are re-materialized only at pipeline breakers
+//! and at the very top (**late materialization**).
+//! [`exec::execute_columnar`] drives the path and [`exec::ExecEngine`]
+//! names both engines; on scan-heavy TPC-H Q1/Q6 the columnar engine is
+//! several times faster than the row path (`cargo bench -p eco-bench
+//! --bench exec_scalar_vs_columnar`, recorded per-commit in CI's
+//! `BENCH_columnar.json`).
+//!
+//! The load-bearing invariant: **the energy ledger is identical across
+//! the two engines** — same op-class counts, memory bytes, random
+//! accesses and disk I/O, bit for bit. Chunk paths charge per chunk
+//! *with counts* (`charge(class, n)`), never re-price work, so a figure
+//! computed from a columnar run equals one computed from a scalar run —
+//! enforced by `tests/integration_columnar.rs` and the
+//! `columnar_matches_scalar` property test, on both storage engines,
+//! cold and warm, serial and morsel-parallel.
 //!
 //! ## Morsel-driven parallel execution
 //!
@@ -58,11 +45,11 @@
 //! partitionable pipelines split into [`parallel::Morsel`]s (rows for
 //! memory sources, whole disk extents for paged tables), workers run
 //! per-morsel pipeline clones charging private forked ledgers, and
-//! results merge back **in morsel order** — through the
-//! [`ops::Exchange`] / [`ops::GatherMerge`] operators, a partitioned
-//! parallel [`ops::HashJoin`] build, per-morsel partial aggregation in
-//! [`ops::HashAggregate`], and an order-preserving gather below
-//! [`ops::Sort`]. The batch-path invariant extends to parallelism: the
+//! results merge back **in morsel order** — through a root-level
+//! gather, a partitioned parallel [`ops::HashJoin`] build, per-morsel
+//! partial aggregation in [`ops::HashAggregate`], and an
+//! order-preserving gather below [`ops::Sort`]. The engine invariant
+//! extends to parallelism: the
 //! **merged ledger is bit-identical to serial execution at every worker
 //! count** (enforced by `tests/integration_parallel.rs` and the
 //! `parallel_matches_serial` property test), so every figure in the

@@ -30,20 +30,17 @@ use crate::plans::selection_predicate;
 /// stops at the first matching predicate (sound only when at most one
 /// can match — true for QED's distinct `l_quantity` values). Otherwise
 /// every predicate is evaluated and a row may fan out to several
-/// queries; fan-out rows emit in predicate order (row-major) in scalar,
-/// batch and columnar mode alike.
+/// queries; fan-out rows emit in predicate order (row-major) on the row
+/// and the columnar path alike.
 ///
-/// The batch and columnar paths are steady-state allocation-lean: the
-/// input scratch buffer, the columnar match buffers and (disjoint path)
-/// the output reservation are all reused across batches, so QED's
-/// disjoint fast path performs no per-batch buffer allocation.
+/// The columnar path is steady-state allocation-lean: its match buffers
+/// are reused across chunks.
 pub struct MultiFilter {
     child: BoxedOp,
     predicates: Vec<Expr>,
     disjoint: bool,
     schema: Schema,
     pending: std::collections::VecDeque<Tuple>,
-    scratch: Vec<Tuple>,
     /// Columnar scratch: live-row indices not yet claimed by a
     /// predicate (disjoint short-circuit narrowing).
     alive: Vec<u32>,
@@ -66,7 +63,6 @@ impl MultiFilter {
             disjoint,
             schema: Schema::new(&refs),
             pending: std::collections::VecDeque::new(),
-            scratch: Vec::new(),
             alive: Vec::new(),
             matches: Vec::new(),
         }
@@ -122,28 +118,6 @@ impl Operator for MultiFilter {
                 pending.push_back(tagged);
             });
         }
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        // Drain anything a scalar caller left behind first.
-        while let Some(t) = self.pending.pop_front() {
-            out.push(t);
-        }
-        let mut input = std::mem::take(&mut self.scratch);
-        input.clear();
-        let more = self.child.next_batch(ctx, &mut input);
-        if self.disjoint {
-            // At most one output per input row: reserve the fan-out
-            // upper bound once so the fast path never regrows `out`.
-            out.reserve(input.len());
-        }
-        for t in &input {
-            Self::route(&self.predicates, self.disjoint, t, ctx, |tagged| {
-                out.push(tagged);
-            });
-        }
-        self.scratch = input;
-        more
     }
 
     /// Columnar routing: evaluate each predicate over the rows still in
@@ -220,7 +194,6 @@ impl Operator for MultiFilter {
             disjoint: self.disjoint,
             schema: self.schema.clone(),
             pending: std::collections::VecDeque::new(),
-            scratch: Vec::new(),
             alive: Vec::new(),
             matches: Vec::new(),
         }))

@@ -9,7 +9,7 @@ use eco_storage::{ColumnType, EncodedChunk, EncodedColumn, Schema, Tuple, Value}
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::{AggFunc, Expr};
-use crate::ops::{drain_batches, drain_chunks, BoxedOp, Operator};
+use crate::ops::{drain_chunks, BoxedOp, Operator};
 use crate::parallel::run_morsels;
 
 /// One aggregate output: function, input expression, output name.
@@ -650,10 +650,11 @@ fn rle_accumulate(
 /// single global row (0 rows in ⇒ 1 output row of zero-counts for
 /// `Sum`/`Count`; `Min`/`Max` over empty input panic by design).
 ///
-/// The input is drained through the child's batch path at `open`;
-/// per-row charges (`HashProbe`, one random access, one `AggUpdate` per
-/// aggregate) are aggregated per batch and are bit-identical to scalar
-/// execution.
+/// The input is drained at `open`: row by row through `next()`, or —
+/// under [`ExecCtx::columnar`] — chunk by chunk into typed accumulator
+/// arrays. Per-row charges (`HashProbe`, one random access, one
+/// `AggUpdate` per aggregate) are aggregated per chunk and are
+/// bit-identical to the row path.
 ///
 /// With a parallel context and a partitionable child, `open` runs
 /// morsel-parallel *partial aggregation*: each worker absorbs its
@@ -696,6 +697,28 @@ impl HashAggregate {
             results: Vec::new().into_iter(),
         }
     }
+
+    /// Drain an opened child into a group table: chunk by chunk into
+    /// typed accumulator arrays under [`ExecCtx::columnar`], row by row
+    /// otherwise. Either way the result is a [`GroupTable`], so the
+    /// in-order fold of parallel partials is engine-agnostic.
+    fn group(
+        child: &mut dyn Operator,
+        group_cols: &[usize],
+        aggs: &[AggSpec],
+        ctx: &mut ExecCtx,
+    ) -> GroupTable {
+        if ctx.columnar {
+            let mut groups = ColumnarGroups::new(group_cols.to_vec(), aggs.to_vec());
+            drain_chunks(child, ctx, |ctx, chunk| groups.absorb(ctx, chunk));
+            return groups.into_group_table();
+        }
+        let mut table = GroupTable::new(group_cols.to_vec(), aggs.to_vec());
+        while let Some(t) = child.next(ctx) {
+            table.absorb(ctx, std::slice::from_ref(&t));
+        }
+        table
+    }
 }
 
 impl Operator for HashAggregate {
@@ -712,27 +735,7 @@ impl Operator for HashAggregate {
         let group_cols = &self.group_cols;
         let aggs = &self.aggs;
         let partials = run_morsels(self.child.as_ref(), ctx, |wctx, pipe| {
-            // Columnar workers absorb chunks into typed accumulator
-            // arrays; either way the partial is handed back as a
-            // GroupTable so the in-order fold below is engine-agnostic.
-            if wctx.columnar {
-                let mut part = ColumnarGroups::new(group_cols.clone(), aggs.clone());
-                drain_chunks(pipe, wctx, |wctx, chunk| part.absorb(wctx, chunk));
-                return part.into_group_table();
-            }
-            let mut part = GroupTable::new(group_cols.clone(), aggs.clone());
-            let mut batch = Vec::new();
-            loop {
-                batch.clear();
-                let more = pipe.next_batch(wctx, &mut batch);
-                if !batch.is_empty() {
-                    part.absorb(wctx, &batch);
-                }
-                if !more {
-                    break;
-                }
-            }
-            part
+            Self::group(pipe, group_cols, aggs, wctx)
         });
         ctx.streaming_exact = saved_exact;
 
@@ -746,22 +749,9 @@ impl Operator for HashAggregate {
                 }
                 table
             }
-            None if ctx.columnar => {
-                self.child.open(ctx);
-                let mut groups = ColumnarGroups::new(self.group_cols.clone(), self.aggs.clone());
-                drain_chunks(self.child.as_mut(), ctx, |ctx, chunk| {
-                    groups.absorb(ctx, chunk);
-                });
-                groups.into_group_table()
-            }
             None => {
                 self.child.open(ctx);
-                let mut table = GroupTable::new(self.group_cols.clone(), self.aggs.clone());
-                let mut batch = Vec::new();
-                drain_batches(self.child.as_mut(), ctx, &mut batch, |ctx, batch| {
-                    table.absorb(ctx, batch);
-                });
-                table
+                Self::group(self.child.as_mut(), &self.group_cols, &self.aggs, ctx)
             }
         };
         let entries = table.entries;
@@ -911,8 +901,8 @@ mod tests {
     }
 
     /// Micro-assertion for the multi-column group-key path: composite
-    /// keys produce identical groups, values and ledgers across scalar,
-    /// batch and columnar execution (the columnar path probes the same
+    /// keys produce identical groups, values and ledgers across scalar
+    /// and columnar execution (the columnar path probes the same
     /// scratch-buffered index, so no `Vec<Value>` per row anywhere).
     #[test]
     fn multi_key_groups_and_ledgers_identical_across_engines() {
@@ -953,20 +943,20 @@ mod tests {
             )
         };
 
-        let mut sctx = ExecCtx::new().with_batch_size(1);
+        let mut sctx = ExecCtx::new();
         let mut agg = mk();
-        let scalar_rows = crate::exec::execute_scalar(&mut agg, &mut sctx);
+        let scalar_rows = ExecEngine::Scalar.execute(&mut agg, &mut sctx);
         assert_eq!(scalar_rows.len(), 12, "3 × 4 composite groups");
 
-        for engine in [ExecEngine::Batch, ExecEngine::Columnar] {
-            let mut ctx = ExecCtx::new();
+        for chunk_rows in [1, 7, 1024] {
+            let mut ctx = ExecCtx::new().with_batch_size(chunk_rows);
             let mut agg = mk();
-            let rows = engine.execute(&mut agg, &mut ctx);
-            assert_eq!(rows, scalar_rows, "{engine:?}: groups differ");
-            assert_eq!(ctx.cpu, sctx.cpu, "{engine:?}: op counts differ");
+            let rows = ExecEngine::Columnar.execute(&mut agg, &mut ctx);
+            assert_eq!(rows, scalar_rows, "chunk {chunk_rows}: groups differ");
+            assert_eq!(ctx.cpu, sctx.cpu, "chunk {chunk_rows}: op counts differ");
             assert_eq!(
                 ctx.mem_random_accesses, sctx.mem_random_accesses,
-                "{engine:?}"
+                "chunk {chunk_rows}"
             );
         }
     }

@@ -8,7 +8,7 @@ use eco_storage::{tuple_width, BitPacked, DataChunk, EncodedColumn, Schema, Tupl
 
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
-use crate::ops::{drain_batches, drain_chunks, BoxedOp, Operator};
+use crate::ops::{drain_chunks, drain_rows, BoxedOp, Operator};
 use crate::parallel::run_morsels;
 
 /// The build-side hash table. Single-column keys index the table by a
@@ -29,13 +29,6 @@ impl JoinTable {
             JoinTable::Single(HashMap::new())
         } else {
             JoinTable::Multi(HashMap::new())
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            JoinTable::Single(m) => m.clear(),
-            JoinTable::Multi(m) => m.clear(),
         }
     }
 
@@ -120,9 +113,9 @@ impl JoinTable {
 /// per probe row (the table exceeds cache for any interesting input);
 /// output concatenation charges its width in memory bytes.
 ///
-/// Multi-match rows are emitted in build-insertion (FIFO) order, in
-/// both scalar and batch mode, so execution order is deterministic and
-/// path-independent.
+/// Multi-match rows are emitted in build-insertion (FIFO) order, on
+/// both the row and the columnar path, so execution order is
+/// deterministic and path-independent.
 ///
 /// With a parallel context (`ExecCtx::workers > 1`) and partitionable
 /// children, `open` runs both sides morsel-parallel: workers build
@@ -142,7 +135,6 @@ pub struct HashJoin {
     schema: Schema,
     table: JoinTable,
     pending: VecDeque<Tuple>,
-    scratch: Vec<Tuple>,
     /// Reused composite-key probe buffer (see [`JoinTable::lookup`]).
     key_scratch: Vec<Value>,
     /// Parallel-probed output (morsel order) and the serve cursor.
@@ -175,7 +167,6 @@ impl HashJoin {
             schema,
             table,
             pending: VecDeque::new(),
-            scratch: Vec::new(),
             key_scratch: Vec::new(),
             probed: None,
         }
@@ -187,6 +178,51 @@ impl HashJoin {
         out.extend(build_t.iter().cloned());
         out.extend(probe_t.iter().cloned());
         out
+    }
+
+    /// Drain an opened build pipeline into a fresh hash table: one
+    /// `HashBuild` plus the row's width in memory bytes per build row.
+    /// A columnar child materializes its rows here — the hash build is a
+    /// pipeline breaker — with the same rows and the same charges.
+    fn build_table(
+        child: &mut dyn Operator,
+        arity: usize,
+        keys: &[usize],
+        ctx: &mut ExecCtx,
+    ) -> JoinTable {
+        let mut table = JoinTable::for_arity(arity);
+        drain_rows(child, ctx, |ctx, rows| {
+            let bytes: u64 = rows.iter().map(tuple_width).sum();
+            ctx.charge(OpClass::HashBuild, rows.len() as u64);
+            ctx.charge_mem_bytes(bytes);
+            for t in rows.drain(..) {
+                table.insert(t, keys);
+            }
+        });
+        table
+    }
+
+    /// Row probe kernel: look one probe row up and `emit` its matches in
+    /// build-insertion order. Charges one `HashProbe` + one random
+    /// access plus the output rows' widths — the per-row form of
+    /// [`Self::probe_chunk`].
+    fn probe_row(
+        table: &JoinTable,
+        probe_keys: &[usize],
+        probe_t: &Tuple,
+        key_scratch: &mut Vec<Value>,
+        ctx: &mut ExecCtx,
+        mut emit: impl FnMut(Tuple),
+    ) {
+        ctx.charge(OpClass::HashProbe, 1);
+        ctx.charge_mem_random(1);
+        if let Some(matches) = table.lookup(probe_t, probe_keys, key_scratch) {
+            for build_t in matches {
+                let out = Self::join_row(build_t, probe_t);
+                ctx.charge_mem_bytes(tuple_width(&out));
+                emit(out);
+            }
+        }
     }
 
     /// Columnar probe kernel: hash the key column(s) straight out of
@@ -304,7 +340,6 @@ impl Operator for HashJoin {
     }
 
     fn open(&mut self, ctx: &mut ExecCtx) {
-        self.table.clear();
         self.pending.clear();
         self.probed = None;
 
@@ -317,76 +352,21 @@ impl Operator for HashJoin {
         let build_keys = &self.build_keys;
         let partitions = run_morsels(self.build.as_ref(), ctx, |wctx, pipe| {
             // One partition table per morsel, charged exactly as the
-            // serial build charges its batches. A columnar worker
-            // drains chunks and materializes survivors here (the hash
-            // build is a pipeline breaker) — same rows, same charges.
-            let mut part = JoinTable::for_arity(arity);
-            if wctx.columnar {
-                let mut batch = Vec::new();
-                drain_chunks(pipe, wctx, |wctx, chunk| {
-                    batch.clear();
-                    chunk.to_tuples(&mut batch);
-                    let bytes: u64 = batch.iter().map(tuple_width).sum();
-                    wctx.charge(OpClass::HashBuild, batch.len() as u64);
-                    wctx.charge_mem_bytes(bytes);
-                    for t in batch.drain(..) {
-                        part.insert(t, build_keys);
-                    }
-                });
-                return part;
-            }
-            let mut batch = Vec::new();
-            loop {
-                batch.clear();
-                let more = pipe.next_batch(wctx, &mut batch);
-                let bytes: u64 = batch.iter().map(tuple_width).sum();
-                wctx.charge(OpClass::HashBuild, batch.len() as u64);
-                wctx.charge_mem_bytes(bytes);
-                for t in batch.drain(..) {
-                    part.insert(t, build_keys);
-                }
-                if !more {
-                    break;
-                }
-            }
-            part
+            // serial build charges its rows.
+            Self::build_table(pipe, arity, build_keys, wctx)
         });
         match partitions {
             Some(parts) => {
                 // Merge in morsel order: per-key FIFO equals serial.
+                let mut table = JoinTable::for_arity(arity);
                 for part in parts {
-                    self.table.absorb(part);
+                    table.absorb(part);
                 }
-            }
-            None if ctx.columnar => {
-                self.build.open(ctx);
-                let mut batch = std::mem::take(&mut self.scratch);
-                let (table, keys) = (&mut self.table, &self.build_keys);
-                drain_chunks(self.build.as_mut(), ctx, |ctx, chunk| {
-                    batch.clear();
-                    chunk.to_tuples(&mut batch);
-                    let bytes: u64 = batch.iter().map(tuple_width).sum();
-                    ctx.charge(OpClass::HashBuild, batch.len() as u64);
-                    ctx.charge_mem_bytes(bytes);
-                    for t in batch.drain(..) {
-                        table.insert(t, keys);
-                    }
-                });
-                self.scratch = batch;
+                self.table = table;
             }
             None => {
                 self.build.open(ctx);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let (table, keys) = (&mut self.table, &self.build_keys);
-                drain_batches(self.build.as_mut(), ctx, &mut scratch, |ctx, batch| {
-                    let bytes: u64 = batch.iter().map(tuple_width).sum();
-                    ctx.charge(OpClass::HashBuild, batch.len() as u64);
-                    ctx.charge_mem_bytes(bytes);
-                    for t in batch.drain(..) {
-                        table.insert(t, keys);
-                    }
-                });
-                self.scratch = scratch;
+                self.table = Self::build_table(self.build.as_mut(), arity, build_keys, ctx);
             }
         }
         ctx.streaming_exact = saved_exact;
@@ -402,30 +382,11 @@ impl Operator for HashJoin {
                 drain_chunks(pipe, wctx, |wctx, chunk| {
                     Self::probe_chunk(table, probe_keys, chunk, &mut key_scratch, &mut rows, wctx);
                 });
-                return rows;
-            }
-            let mut probe_in = Vec::new();
-            loop {
-                probe_in.clear();
-                let more = pipe.next_batch(wctx, &mut probe_in);
-                let mut out_bytes = 0u64;
-                for probe_t in &probe_in {
-                    if let Some(matches) = table.lookup(probe_t, probe_keys, &mut key_scratch) {
-                        for build_t in matches {
-                            let t = Self::join_row(build_t, probe_t);
-                            out_bytes += tuple_width(&t);
-                            rows.push(t);
-                        }
-                    }
-                }
-                let n = probe_in.len() as u64;
-                if n > 0 {
-                    wctx.charge(OpClass::HashProbe, n);
-                    wctx.charge_mem_random(n);
-                }
-                wctx.charge_mem_bytes(out_bytes);
-                if !more {
-                    break;
+            } else {
+                while let Some(probe_t) = pipe.next(wctx) {
+                    Self::probe_row(table, probe_keys, &probe_t, &mut key_scratch, wctx, |t| {
+                        rows.push(t)
+                    });
                 }
             }
             rows
@@ -454,56 +415,16 @@ impl Operator for HashJoin {
                 return Some(t);
             }
             let probe_t = self.probe.next(ctx)?;
-            ctx.charge(OpClass::HashProbe, 1);
-            ctx.charge_mem_random(1);
-            if let Some(matches) =
-                self.table
-                    .lookup(&probe_t, &self.probe_keys, &mut self.key_scratch)
-            {
-                for build_t in matches {
-                    let out = Self::join_row(build_t, &probe_t);
-                    ctx.charge_mem_bytes(tuple_width(&out));
-                    self.pending.push_back(out);
-                }
-            }
+            let pending = &mut self.pending;
+            Self::probe_row(
+                &self.table,
+                &self.probe_keys,
+                &probe_t,
+                &mut self.key_scratch,
+                ctx,
+                |t| pending.push_back(t),
+            );
         }
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        if let Some((rows, pos)) = &mut self.probed {
-            let end = (*pos + ctx.batch_size.max(1)).min(rows.len());
-            out.extend_from_slice(&rows[*pos..end]);
-            *pos = end;
-            return *pos < rows.len();
-        }
-        // Drain anything a scalar caller left behind first.
-        while let Some(t) = self.pending.pop_front() {
-            out.push(t);
-        }
-        let mut probe_in = std::mem::take(&mut self.scratch);
-        probe_in.clear();
-        let more = self.probe.next_batch(ctx, &mut probe_in);
-        let mut out_bytes = 0u64;
-        for probe_t in &probe_in {
-            if let Some(matches) =
-                self.table
-                    .lookup(probe_t, &self.probe_keys, &mut self.key_scratch)
-            {
-                for build_t in matches {
-                    let t = Self::join_row(build_t, probe_t);
-                    out_bytes += tuple_width(&t);
-                    out.push(t);
-                }
-            }
-        }
-        let n = probe_in.len() as u64;
-        if n > 0 {
-            ctx.charge(OpClass::HashProbe, n);
-            ctx.charge_mem_random(n);
-        }
-        ctx.charge_mem_bytes(out_bytes);
-        self.scratch = probe_in;
-        more
     }
 
     /// Columnar probe: key values are hashed straight out of the probe
@@ -605,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_matches_scalar_rows_and_order() {
+    fn columnar_path_matches_scalar_rows_and_order() {
         let data_b = [(1, "x"), (2, "y"), (2, "z")];
         let data_p = [(2, "p"), (1, "q"), (2, "r"), (9, "s")];
         let mut scalar = HashJoin::new(
@@ -616,17 +537,19 @@ mod tests {
         );
         let scalar_rows = run(&mut scalar);
 
-        let mut batch = HashJoin::new(
+        let mut columnar = HashJoin::new(
             Box::new(src("a", &data_b)),
             Box::new(src("b", &data_p)),
             vec![0],
             vec![0],
         );
-        let mut ctx = ExecCtx::new().with_batch_size(2);
-        batch.open(&mut ctx);
-        let mut batch_rows = Vec::new();
-        while batch.next_batch(&mut ctx, &mut batch_rows) {}
-        assert_eq!(batch_rows, scalar_rows);
+        let mut ctx = ExecCtx::new().with_batch_size(2).with_columnar(true);
+        columnar.open(&mut ctx);
+        let mut columnar_rows = Vec::new();
+        while let Some(chunk) = columnar.next_chunk(&mut ctx) {
+            chunk.to_tuples(&mut columnar_rows);
+        }
+        assert_eq!(columnar_rows, scalar_rows);
     }
 
     #[test]
@@ -741,7 +664,7 @@ mod tests {
     /// Micro-assertion for the borrowed multi-key probe path: composite
     /// keys (including string components, the allocation-heavy case the
     /// scratch buffer eliminates) produce identical rows and identical
-    /// ledgers across scalar, batch and columnar execution.
+    /// ledgers across scalar and columnar execution.
     #[test]
     fn multi_key_rows_and_ledgers_identical_across_engines() {
         use crate::exec::ExecEngine;
@@ -762,21 +685,24 @@ mod tests {
             HashJoin::new(Box::new(build), Box::new(probe), vec![0, 1], vec![0, 1])
         };
 
-        let mut sctx = ExecCtx::new().with_batch_size(1);
+        let mut sctx = ExecCtx::new();
         let mut j = mk();
-        let scalar_rows = crate::exec::execute_scalar(&mut j, &mut sctx);
+        let scalar_rows = ExecEngine::Scalar.execute(&mut j, &mut sctx);
         assert!(!scalar_rows.is_empty(), "the workload must join something");
 
-        for engine in [ExecEngine::Batch, ExecEngine::Columnar] {
-            let mut ctx = ExecCtx::new();
+        for chunk_rows in [1, 7, 1024] {
+            let mut ctx = ExecCtx::new().with_batch_size(chunk_rows);
             let mut j = mk();
-            let rows = engine.execute(&mut j, &mut ctx);
-            assert_eq!(rows, scalar_rows, "{engine:?}: rows differ");
-            assert_eq!(ctx.cpu, sctx.cpu, "{engine:?}: op counts differ");
-            assert_eq!(ctx.mem_stream_bytes, sctx.mem_stream_bytes, "{engine:?}");
+            let rows = ExecEngine::Columnar.execute(&mut j, &mut ctx);
+            assert_eq!(rows, scalar_rows, "chunk {chunk_rows}: rows differ");
+            assert_eq!(ctx.cpu, sctx.cpu, "chunk {chunk_rows}: op counts differ");
+            assert_eq!(
+                ctx.mem_stream_bytes, sctx.mem_stream_bytes,
+                "chunk {chunk_rows}"
+            );
             assert_eq!(
                 ctx.mem_random_accesses, sctx.mem_random_accesses,
-                "{engine:?}"
+                "chunk {chunk_rows}"
             );
         }
     }

@@ -16,7 +16,7 @@ use eco_simhw::trace::OpClass;
 use eco_storage::{tuple_width, Schema, Tuple, Value};
 
 use crate::context::ExecCtx;
-use crate::ops::{drain_batches, BoxedOp, Operator};
+use crate::ops::{drain_rows, BoxedOp, Operator};
 
 /// Sort-merge equi-join (multi-column keys). Materializes and sorts
 /// both inputs at `open`, then merges.
@@ -59,8 +59,7 @@ impl SortMergeJoin {
     fn drain_sorted(child: &mut BoxedOp, keys: &[usize], ctx: &mut ExecCtx) -> Vec<Tuple> {
         child.open(ctx);
         let mut rows = Vec::new();
-        let mut scratch = Vec::new();
-        drain_batches(child.as_mut(), ctx, &mut scratch, |ctx, batch| {
+        drain_rows(child.as_mut(), ctx, |ctx, batch| {
             let bytes: u64 = batch.iter().map(tuple_width).sum();
             ctx.charge_mem_bytes(bytes);
             rows.append(batch);

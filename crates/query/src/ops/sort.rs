@@ -4,7 +4,7 @@ use eco_simhw::trace::OpClass;
 use eco_storage::{tuple_width, Schema, Tuple};
 
 use crate::context::ExecCtx;
-use crate::ops::{drain_batches, drain_chunks, BoxedOp, Operator};
+use crate::ops::{drain_rows, BoxedOp, Operator};
 use crate::parallel::gather_parallel;
 
 /// One sort key: column index plus direction.
@@ -32,8 +32,8 @@ impl SortKey {
 /// performed by the sort algorithm plus materialization bytes.
 ///
 /// In a parallel context a partitionable child is drained through an
-/// order-preserving morsel gather (the inlined [`super::GatherMerge`]
-/// pattern) and the sort itself runs serially over the gathered rows.
+/// order-preserving morsel gather and the sort itself runs serially
+/// over the gathered rows.
 /// The comparison count of the sort algorithm depends on input order,
 /// so presenting the *exact serial input sequence* is what keeps the
 /// `SortCmp` charge — and with it the energy ledger — identical at
@@ -70,30 +70,18 @@ impl Operator for Sort {
         let mut rows = match gather_parallel(self.child.as_ref(), ctx) {
             Some(rows) => {
                 // Materialization charge, identical to the serial
-                // per-batch sum below.
+                // per-row sum below.
                 let bytes: u64 = rows.iter().map(tuple_width).sum();
                 ctx.charge_mem_bytes(bytes);
                 rows
             }
-            None if ctx.columnar => {
-                // Columnar child: the sort is a pipeline breaker, so
-                // this is where rows materialize (late), with the same
-                // per-row width charge as the batch drain below.
-                self.child.open(ctx);
-                let mut rows = Vec::new();
-                drain_chunks(self.child.as_mut(), ctx, |ctx, chunk| {
-                    let start = rows.len();
-                    chunk.to_tuples(&mut rows);
-                    let bytes: u64 = rows[start..].iter().map(tuple_width).sum();
-                    ctx.charge_mem_bytes(bytes);
-                });
-                rows
-            }
             None => {
+                // The sort is a pipeline breaker: a columnar child's
+                // rows materialize here (late), with the same per-row
+                // width charge as the row path.
                 self.child.open(ctx);
                 let mut rows = Vec::new();
-                let mut scratch = Vec::new();
-                drain_batches(self.child.as_mut(), ctx, &mut scratch, |ctx, batch| {
+                drain_rows(self.child.as_mut(), ctx, |ctx, batch| {
                     let bytes: u64 = batch.iter().map(tuple_width).sum();
                     ctx.charge_mem_bytes(bytes);
                     rows.append(batch);

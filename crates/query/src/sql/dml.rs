@@ -397,12 +397,12 @@ mod tests {
         let cat = catalog();
         for bad in [
             "INSERT INTO ghost VALUES (1, 'a', 'b')",
-            "INSERT INTO t VALUES (1, 'a')",                 // arity
-            "INSERT INTO t (k, s) VALUES (1, 'a')",          // incomplete column list
-            "INSERT INTO t (k, k, s) VALUES (1, 2, 'a')",    // duplicate column
-            "INSERT INTO t VALUES (k, 'a', 'b')",            // column ref in VALUES
-            "INSERT INTO t VALUES ('str', 'a', 'b')",        // type mismatch
-            "INSERT INTO t VALUES (1, 'a', 'toolong')",      // bad CHAR
+            "INSERT INTO t VALUES (1, 'a')",              // arity
+            "INSERT INTO t (k, s) VALUES (1, 'a')",       // incomplete column list
+            "INSERT INTO t (k, k, s) VALUES (1, 2, 'a')", // duplicate column
+            "INSERT INTO t VALUES (k, 'a', 'b')",         // column ref in VALUES
+            "INSERT INTO t VALUES ('str', 'a', 'b')",     // type mismatch
+            "INSERT INTO t VALUES (1, 'a', 'toolong')",   // bad CHAR
             "UPDATE t SET ghost = 1",
             "UPDATE ghost SET k = 1",
             "DELETE FROM ghost",
@@ -421,9 +421,8 @@ mod tests {
         let cat = catalog();
         let (out, _) = run(&cat, "UPDATE t SET s = 'same'").expect("update");
         assert_eq!(out.affected, 10);
-        assert!(out
-            .records
-            .iter()
-            .all(|r| matches!(r, WalRecord::Update { tuple, .. } if tuple[1] == Value::str("same"))));
+        assert!(out.records.iter().all(
+            |r| matches!(r, WalRecord::Update { tuple, .. } if tuple[1] == Value::str("same"))
+        ));
     }
 }

@@ -222,7 +222,9 @@ impl Catalog {
     pub fn apply_wal_record(&self, rec: &WalRecord) -> Result<(), WalError> {
         match rec {
             WalRecord::Commit { .. } => Ok(()),
-            WalRecord::Insert { table, tuple } => self.apply_mutation(table, Mutation::Insert(tuple)),
+            WalRecord::Insert { table, tuple } => {
+                self.apply_mutation(table, Mutation::Insert(tuple))
+            }
             WalRecord::Update { table, row, tuple } => {
                 self.apply_mutation(table, Mutation::Update(*row, tuple))
             }
@@ -240,10 +242,11 @@ impl Catalog {
                     table: table.to_string(),
                 });
             }
-            self.check_width(table, t).map_err(|e| WalError::TupleTooWide {
-                table: table.to_string(),
-                bytes: e.bytes,
-            })?;
+            self.check_width(table, t)
+                .map_err(|e| WalError::TupleTooWide {
+                    table: table.to_string(),
+                    bytes: e.bytes,
+                })?;
         }
         if let Mutation::Update(row, _) | Mutation::Delete(row) = m {
             if row >= stored.len() {
@@ -546,15 +549,22 @@ mod tests {
         let TableData::Disk(t) = &d.data else {
             panic!("d is disk");
         };
-        assert_eq!(t.all_tuples(), vec![vec![Value::Int(10)], vec![Value::Int(3)]]);
+        assert_eq!(
+            t.all_tuples(),
+            vec![vec![Value::Int(10)], vec![Value::Int(3)]]
+        );
         // Commit markers are no-ops.
-        c.apply_wal_record(&WalRecord::Commit { txn: 1 }).expect("commit");
+        c.apply_wal_record(&WalRecord::Commit { txn: 1 })
+            .expect("commit");
     }
 
     #[test]
     fn apply_wal_record_rejects_bad_records_with_typed_errors() {
         let mut c = Catalog::new(16);
-        c.add_memory_table("m", HeapTable::from_tuples(schema(), vec![vec![Value::Int(1)]]));
+        c.add_memory_table(
+            "m",
+            HeapTable::from_tuples(schema(), vec![vec![Value::Int(1)]]),
+        );
         assert_eq!(
             c.apply_wal_record(&WalRecord::Insert {
                 table: "ghost".into(),
@@ -620,9 +630,15 @@ mod tests {
     fn update_keeping_the_key_leaves_the_index_as_it_was() {
         let mut c = Catalog::new(64);
         let s = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Int)]);
-        let rows: Vec<_> = (0..500).map(|i| vec![Value::Int(i), Value::Int(0)]).collect();
+        let rows: Vec<_> = (0..500)
+            .map(|i| vec![Value::Int(i), Value::Int(0)])
+            .collect();
         c.add_disk_table("d", s, &rows);
-        let before = c.create_index("ix", "d", "k").expect("create").index.clone();
+        let before = c
+            .create_index("ix", "d", "k")
+            .expect("create")
+            .index
+            .clone();
         c.apply_wal_record(&WalRecord::Update {
             table: "d".into(),
             row: 7,
@@ -649,7 +665,10 @@ mod tests {
         let s = Schema::new(&[("s", ColumnType::Str)]);
         c.add_disk_table("d", s, &[vec![Value::str("x".repeat(5000))]]);
         let err = c.create_index("ix", "d", "s").unwrap_err();
-        assert!(matches!(err, IndexError::KeyTooWide { bytes: 5014, .. }), "{err}");
+        assert!(
+            matches!(err, IndexError::KeyTooWide { bytes: 5014, .. }),
+            "{err}"
+        );
         assert!(c.index_names().is_empty());
     }
 

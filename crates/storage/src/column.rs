@@ -14,7 +14,7 @@
 //! would have produced. The energy ledger never charges for building a
 //! mirror — the columnar executor charges the same per-tuple op classes
 //! as the row executor (see `eco-query::ops` docs), which is what keeps
-//! scalar/batch/columnar ledgers bit-identical.
+//! scalar and columnar ledgers bit-identical.
 //!
 //! Validity masks exist for forward compatibility with NULL-bearing
 //! sources: no TPC-H loader produces NULLs, so end-to-end executions

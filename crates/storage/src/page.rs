@@ -227,7 +227,10 @@ pub fn serialize_tuple(t: &Tuple) -> Vec<u8> {
 
 /// Append the serialization of the tuple made of `values` to `out`
 /// (the bytes [`serialize_tuple`] gives), without building the tuple.
-pub(crate) fn serialize_into<'a>(values: impl ExactSizeIterator<Item = &'a Value>, out: &mut Vec<u8>) {
+pub(crate) fn serialize_into<'a>(
+    values: impl ExactSizeIterator<Item = &'a Value>,
+    out: &mut Vec<u8>,
+) {
     out.extend_from_slice(&(values.len() as u16).to_le_bytes());
     for v in values {
         serialize_value(v, out);

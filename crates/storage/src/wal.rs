@@ -144,7 +144,10 @@ impl std::fmt::Display for WalError {
                 "log record addresses row {row} of table {table:?} (len {len})"
             ),
             WalError::SchemaMismatch { table } => {
-                write!(f, "log record tuple does not match schema of table {table:?}")
+                write!(
+                    f,
+                    "log record tuple does not match schema of table {table:?}"
+                )
             }
             WalError::TupleTooWide { table, bytes } => write!(
                 f,
@@ -230,7 +233,10 @@ impl WalRecord {
     /// `None`; the caller maps it to [`WalError::Corrupt`] with the
     /// record's log offset.
     pub fn decode(payload: &[u8]) -> Option<WalRecord> {
-        let mut r = Reader { buf: payload, pos: 0 };
+        let mut r = Reader {
+            buf: payload,
+            pos: 0,
+        };
         let rec = match r.u8()? {
             REC_INSERT => WalRecord::Insert {
                 table: r.name()?,

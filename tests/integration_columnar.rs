@@ -1,10 +1,10 @@
-//! The columnar contract: scalar, batch and columnar execution must
-//! produce **identical result rows** and **bit-identical energy
-//! ledgers** — op-class counts, memory stream bytes, random accesses
-//! and disk I/O — for TPC-H Q1/Q3/Q5/Q6 and the QED merged scan, on
-//! both storage engines, cold and warm, serial and morsel-parallel,
-//! across chunk sizes. The paper-reproduction figures are priced from
-//! the ledger, so any drift here silently corrupts them.
+//! The columnar contract: scalar and columnar execution must produce
+//! **identical result rows** and **bit-identical energy ledgers** —
+//! op-class counts, memory stream bytes, random accesses and disk I/O —
+//! for TPC-H Q1/Q3/Q5/Q6, the indexed access paths and the QED merged
+//! scan, on both storage engines, cold and warm, serial and
+//! morsel-parallel, across chunk sizes. The paper-reproduction figures
+//! are priced from the ledger, so any drift here silently corrupts them.
 
 use std::sync::OnceLock;
 
@@ -44,15 +44,27 @@ fn assert_ledgers_equal(a: &ExecCtx, b: &ExecCtx, what: &str) {
     assert_eq!(a.pred_evals, b.pred_evals, "{what}: pred_evals differ");
 }
 
+/// A disk catalog with a B-tree on `lineitem.l_orderkey`, the index
+/// the `*_indexed` plans probe. The pool is flushed after the build so
+/// the first run is cold.
+fn indexed_catalog() -> Catalog {
+    let catalog = fresh_catalog(EngineKind::Disk);
+    catalog
+        .create_index("ix_lineitem_orderkey", "lineitem", "l_orderkey")
+        .expect("lineitem is a disk table");
+    catalog.pool().flush();
+    catalog
+}
+
 /// Run `mk`'s plan cold then warm on a fresh catalog under the given
 /// engine; return rows and ledgers for both runs.
 fn run_twice(
-    engine: EngineKind,
+    catalog_of: &dyn Fn() -> Catalog,
     mk: &dyn Fn(&Catalog) -> BoxedOp,
     mut ctx_of: impl FnMut() -> ExecCtx,
     exec: ExecEngine,
 ) -> [(Vec<Tuple>, ExecCtx); 2] {
-    let catalog = fresh_catalog(engine);
+    let catalog = catalog_of();
     [(); 2].map(|_| {
         let mut plan = mk(&catalog);
         let mut ctx = ctx_of();
@@ -63,46 +75,69 @@ fn run_twice(
 
 fn check_query(name: &str, mk: &dyn Fn(&Catalog) -> BoxedOp) {
     for engine in [EngineKind::Memory, EngineKind::Disk] {
-        // The baseline: a genuinely tuple-at-a-time pipeline.
-        let scalar = run_twice(
-            engine,
+        check_query_on(name, engine, &|| fresh_catalog(engine), mk);
+    }
+}
+
+/// Index access paths exist on the disk engine only; their plans are
+/// checked against a catalog carrying the index they probe.
+fn check_indexed_query(name: &str, mk: &dyn Fn(&Catalog) -> Option<BoxedOp>) {
+    let [(cold_rows, cold), _] = check_query_on(name, EngineKind::Disk, &indexed_catalog, &|cat| {
+        mk(cat).expect("the index exists")
+    });
+    assert!(!cold_rows.is_empty(), "{name}: the probe matched nothing");
+    assert!(
+        cold.disk.index_ios > 0,
+        "{name}: cold probe charged no index I/O"
+    );
+}
+
+fn check_query_on(
+    name: &str,
+    engine: EngineKind,
+    catalog_of: &dyn Fn() -> Catalog,
+    mk: &dyn Fn(&Catalog) -> BoxedOp,
+) -> [(Vec<Tuple>, ExecCtx); 2] {
+    // The baseline: a genuinely tuple-at-a-time pipeline.
+    let scalar = run_twice(
+        catalog_of,
+        mk,
+        || ExecCtx::new().with_batch_size(1),
+        ExecEngine::Scalar,
+    );
+
+    // Columnar execution at several chunkings, including sizes that
+    // do not divide the table and the default.
+    for chunk_size in [3, 257, 1024] {
+        let columnar = run_twice(
+            catalog_of,
             mk,
-            || ExecCtx::new().with_batch_size(1),
-            ExecEngine::Scalar,
+            || ExecCtx::new().with_batch_size(chunk_size),
+            ExecEngine::Columnar,
         );
-
-        // Columnar execution at several chunkings, including sizes that
-        // do not divide the table and the default.
-        for chunk_size in [3, 257, 1024] {
-            let columnar = run_twice(
-                engine,
-                mk,
-                || ExecCtx::new().with_batch_size(chunk_size),
-                ExecEngine::Columnar,
-            );
-            for (pass, label) in [(0, "cold"), (1, "warm")] {
-                let what = format!("{name}/{engine:?}/{label}/chunk={chunk_size}");
-                assert_eq!(columnar[pass].0, scalar[pass].0, "{what}: rows differ");
-                assert_ledgers_equal(&columnar[pass].1, &scalar[pass].1, &what);
-            }
-        }
-
-        // Sanity: the workload actually exercised the ledger.
-        assert!(
-            scalar[0].1.cpu.count(OpClass::TupleFetch) > 0,
-            "{name}: no fetches"
-        );
-        if engine == EngineKind::Disk {
-            assert!(
-                !scalar[0].1.disk.is_empty(),
-                "{name}: cold disk run charged no I/O"
-            );
-            assert!(
-                scalar[1].1.disk.is_empty(),
-                "{name}: warm disk run still paid I/O"
-            );
+        for (pass, label) in [(0, "cold"), (1, "warm")] {
+            let what = format!("{name}/{engine:?}/{label}/chunk={chunk_size}");
+            assert_eq!(columnar[pass].0, scalar[pass].0, "{what}: rows differ");
+            assert_ledgers_equal(&columnar[pass].1, &scalar[pass].1, &what);
         }
     }
+
+    // Sanity: the workload actually exercised the ledger.
+    assert!(
+        scalar[0].1.cpu.count(OpClass::TupleFetch) > 0,
+        "{name}: no fetches"
+    );
+    if engine == EngineKind::Disk {
+        assert!(
+            !scalar[0].1.disk.is_empty(),
+            "{name}: cold disk run charged no I/O"
+        );
+        assert!(
+            scalar[1].1.disk.is_empty(),
+            "{name}: warm disk run still paid I/O"
+        );
+    }
+    scalar
 }
 
 #[test]
@@ -127,6 +162,24 @@ fn q5_columnar_scalar_identical() {
 #[test]
 fn q6_columnar_scalar_identical() {
     check_query("Q6", &|cat| plans::q6_plan(cat, 1994, 6, 24));
+}
+
+/// `IxScan` has no native chunk path: the columnar driver packs its
+/// rows through the provided `next_chunk`, with the scalar ledger.
+#[test]
+fn orderkey_range_indexed_columnar_scalar_identical() {
+    check_indexed_query("orderkey-range/IxScan", &|cat| {
+        plans::orderkey_range_plan_indexed(cat, 1_000, 1_400)
+    });
+}
+
+/// Same for `IxJoin`, whose outer `Filter` over `SeqScan` still runs
+/// tuple-at-a-time beneath it.
+#[test]
+fn day_orders_indexed_columnar_scalar_identical() {
+    check_indexed_query("day-orders/IxJoin", &|cat| {
+        plans::day_orders_lineitem_plan_indexed(cat, ecodb::tpch::Date::from_ymd(1995, 3, 15))
+    });
 }
 
 /// Columnar execution composes with morsel-driven parallelism: the
@@ -239,8 +292,8 @@ fn limit_over_streaming_pipeline_columnar_identical() {
 #[test]
 fn ecodb_engine_knob_produces_identical_traces() {
     let mk = || EcoDb::tpch(EngineProfile::MemoryEngine, 0.002);
-    let batch_db = mk();
-    let (rows_b, trace_b) = batch_db.trace_q1(90);
+    let default_db = mk();
+    let (rows_b, trace_b) = default_db.trace_q1(90);
     for engine in [ExecEngine::Scalar, ExecEngine::Columnar] {
         let db = mk().with_engine(engine);
         assert_eq!(db.engine(), engine);
@@ -260,7 +313,7 @@ fn ecodb_engine_knob_produces_identical_traces() {
 
     // The QED path honors the knob too.
     let queries = ecodb::tpch::qed_workload(5);
-    let (split_b, qtrace_b) = batch_db.trace_merged_selection(&queries, true);
+    let (split_b, qtrace_b) = default_db.trace_merged_selection(&queries, true);
     let col_db = mk().with_engine(ExecEngine::Columnar);
     let (split_c, qtrace_c) = col_db.trace_merged_selection(&queries, true);
     assert_eq!(split_c, split_b);

@@ -29,7 +29,7 @@ fn source_db() -> &'static TpchDb {
     DB.get_or_init(|| TpchGenerator::new(0.004).generate())
 }
 
-/// A roomy, reread-free pool (like `integration_vectorized.rs`): cold
+/// A roomy, reread-free pool (like `integration_columnar.rs`): cold
 /// runs charge the full read once, warm runs are I/O-free — so ledgers
 /// are comparable across runs without warm-reread counter offsets.
 fn fresh_catalog(engine: EngineKind) -> Catalog {
@@ -244,42 +244,5 @@ fn limit_over_streaming_pipeline_keeps_scalar_exact_consumption() {
         let rows = execute_parallel(mk().as_mut(), &mut ctx, workers);
         assert_eq!(rows, serial_rows);
         assert_ledgers_equal("limit-pipeline", workers, &ctx, &serial_ctx);
-    }
-}
-
-#[test]
-fn exchange_and_gather_merge_compose_into_plans() {
-    use ecodb::query::ops::{Exchange, GatherMerge, Sort, SortKey};
-    let db = mem_db();
-
-    // Exchange over the Q6 filter pipeline, Sort over a GatherMerge.
-    let table = db.catalog().expect("lineitem");
-    let qty = table.schema().expect_index("l_quantity");
-    let mk_filtered = || -> BoxedOp {
-        use ecodb::query::expr::{CmpOp, Expr};
-        use ecodb::query::ops::{Filter, SeqScan};
-        let scan = Box::new(SeqScan::new(std::sync::Arc::clone(&table)));
-        Box::new(Filter::new(
-            scan,
-            Expr::cmp(CmpOp::Eq, Expr::col(qty), Expr::int(17)),
-        ))
-    };
-
-    let mut serial_ctx = ExecCtx::new();
-    let mut serial_plan = Sort::new(mk_filtered(), vec![SortKey::asc(0)]);
-    let serial_rows = execute(&mut serial_plan, &mut serial_ctx);
-
-    for workers in [2usize, 4] {
-        let mut ctx = ExecCtx::new().with_workers(workers);
-        let gathered = Box::new(GatherMerge::new(mk_filtered())) as BoxedOp;
-        let mut plan = Sort::new(gathered, vec![SortKey::asc(0)]);
-        let rows = execute(&mut plan, &mut ctx);
-        assert_eq!(rows, serial_rows, "workers={workers}");
-        assert_ledgers_equal("sort-over-gather", workers, &ctx, &serial_ctx);
-
-        let mut ctx2 = ExecCtx::new().with_workers(workers);
-        let mut ex = Exchange::new(mk_filtered());
-        let ex_rows = execute(&mut ex, &mut ctx2);
-        assert_eq!(ex_rows.len(), serial_rows.len());
     }
 }

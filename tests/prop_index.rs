@@ -13,12 +13,14 @@
 //!    reproduced byte for byte.
 //! 3. **Probes price as index I/O**: a cold probe charges
 //!    `index_ios`/`index_bytes` and `NodeSearch`, and never charges
-//!    sequential or plain-random disk traffic.
+//!    sequential or plain-random disk traffic — under the columnar
+//!    driver too, with the scalar probe's rows and full ledger at every
+//!    chunk size.
 
 use proptest::prelude::*;
 
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::execute_scalar;
+use ecodb::query::exec::{execute_columnar, execute_scalar};
 use ecodb::query::expr::{CmpOp, Expr};
 use ecodb::query::ops::{BoxedOp, Filter, IxBound, IxScan, SeqScan};
 use ecodb::simhw::trace::OpClass;
@@ -97,29 +99,45 @@ proptest! {
 
         // The probe: same rows in the same (table) order, charged as v4
         // index I/O — never as sequential or plain-random traffic.
-        indexed.pool().flush();
-        let mut ix = if point {
-            IxScan::point(
-                indexed.expect("t"),
-                std::sync::Arc::clone(&entry.index),
-                Value::Int(lo),
-            )
-        } else {
-            IxScan::range(
-                indexed.expect("t"),
-                std::sync::Arc::clone(&entry.index),
-                IxBound::Inclusive(Value::Int(lo)),
-                IxBound::Inclusive(Value::Int(hi)),
-            )
+        let probe = || {
+            indexed.pool().flush();
+            if point {
+                IxScan::point(
+                    indexed.expect("t"),
+                    std::sync::Arc::clone(&entry.index),
+                    Value::Int(lo),
+                )
+            } else {
+                IxScan::range(
+                    indexed.expect("t"),
+                    std::sync::Arc::clone(&entry.index),
+                    IxBound::Inclusive(Value::Int(lo)),
+                    IxBound::Inclusive(Value::Int(hi)),
+                )
+            }
         };
         let mut ictx = ExecCtx::new().with_batch_size(1);
-        let ix_rows = execute_scalar(&mut ix, &mut ictx);
+        let ix_rows = execute_scalar(&mut probe(), &mut ictx);
         prop_assert_eq!(&ix_rows, &scan_rows, "index path must return the scan's rows");
         prop_assert_eq!(ictx.disk.sequential_bytes, 0, "probes never charge sequential I/O");
         prop_assert_eq!(ictx.disk.random_ios, 0, "probes ledger as index, not random, I/O");
         prop_assert!(ictx.cpu.count(OpClass::NodeSearch) > 0, "descent must bill NodeSearch");
         if !ix_rows.is_empty() {
             prop_assert!(ictx.disk.index_ios > 0, "a cold matching probe must read pages");
+        }
+
+        // The columnar driver packs the probe's rows into chunks through
+        // the provided `next_chunk`: same rows, same full ledger.
+        for chunk in [1usize, 3, 1024] {
+            let mut cctx = ExecCtx::new().with_batch_size(chunk);
+            let col_rows = execute_columnar(&mut probe(), &mut cctx);
+            prop_assert_eq!(&col_rows, &ix_rows, "chunk {}: rows differ", chunk);
+            prop_assert_eq!(&cctx.cpu, &ictx.cpu, "chunk {}: op counts differ", chunk);
+            prop_assert_eq!(cctx.mem_stream_bytes, ictx.mem_stream_bytes);
+            prop_assert_eq!(cctx.mem_random_accesses, ictx.mem_random_accesses);
+            prop_assert_eq!(cctx.disk, ictx.disk, "chunk {}: disk I/O differs", chunk);
+            prop_assert_eq!(cctx.backoff_ns, ictx.backoff_ns);
+            prop_assert_eq!(cctx.pred_evals, ictx.pred_evals);
         }
     }
 }
